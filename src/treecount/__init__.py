@@ -2,34 +2,26 @@
 
 Closed-form counters (total, degree-constrained, and all-degrees-odd) with
 independent brute-force oracles and a CLI for counting, verification
-sweeps, table generation, and benchmarks.
+sweeps, and table generation.
 """
 
 from .combinatorics import (
-    Count,
     InexactDivisionError,
-    SignedSum,
     SizeLimitError,
     binomial,
     even_compositions,
     exact_div,
     factorial,
-    int_pow,
     multinomial,
     positive_compositions,
 )
 from .formulas import (
-    Complete,
-    CompleteBipartite,
-    GraphFamily,
     odd_spanning_trees_bipartite,
     odd_spanning_trees_bipartite_by_sum,
     odd_spanning_trees_complete,
     odd_spanning_trees_complete_by_sum,
-    odd_tree_count,
     spanning_trees_bipartite,
     spanning_trees_complete,
-    tree_count,
     trees_with_degrees_bipartite,
     trees_with_degrees_complete,
 )
@@ -54,14 +46,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
-    "Complete",
-    "CompleteBipartite",
-    "Count",
-    "GraphFamily",
     "HYPERCUBE_LIMIT",
     "InexactDivisionError",
     "LabeledGraph",
-    "SignedSum",
     "SizeLimitError",
     "Tree",
     "binomial",
@@ -73,7 +60,6 @@ __all__ = [
     "exact_div",
     "factorial",
     "hypercube_power_sum",
-    "int_pow",
     "matrix_tree_count",
     "multinomial",
     "multinomial_power_sum",
@@ -81,12 +67,10 @@ __all__ = [
     "odd_spanning_trees_bipartite_by_sum",
     "odd_spanning_trees_complete",
     "odd_spanning_trees_complete_by_sum",
-    "odd_tree_count",
     "positive_compositions",
     "pruefer_decode",
     "spanning_trees_bipartite",
     "spanning_trees_complete",
-    "tree_count",
     "trees_with_degrees_bipartite",
     "trees_with_degrees_complete",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: count, verify, table, signsum, oracle, bench.  Exit status is
-0 on success, 1 when a verification or cross-check finds a mismatch, and 2
-for invalid usage or parameters.  Values go to stdout, one per line, as
-exact decimal strings; diagnostics go to stderr.
+Subcommands: count, verify, table, signsum, oracle.  Exit status is 0 on
+success, 1 when a verification or cross-check finds a mismatch, 2 for
+invalid usage or parameters, and 3 for an internal error (a bug, such as a
+division that should have been exact).  Values go to stdout, one per line,
+as exact decimal strings of any length; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Sequence
 
 from . import formulas, oracles, signsum, verify
-from .combinatorics import Count
 
-TABLE_FAMILIES = ("complete", "bipartite", "odd-complete", "odd-bipartite")
-
+# The closed forms by family: complete families take the size n, bipartite
+# families the side sizes m, n.  count and table dispatch through these.
 _COMPLETE_TABLE_FNS = {
     "complete": formulas.spanning_trees_complete,
     "odd-complete": formulas.odd_spanning_trees_complete,
@@ -27,6 +26,10 @@ _BIPARTITE_TABLE_FNS = {
     "bipartite": formulas.spanning_trees_bipartite,
     "odd-bipartite": formulas.odd_spanning_trees_bipartite,
 }
+# complete, bipartite, odd-complete, odd-bipartite
+TABLE_FAMILIES = tuple(
+    family for pair in zip(_COMPLETE_TABLE_FNS, _BIPARTITE_TABLE_FNS) for family in pair
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="print one exact count")
     count.add_argument(
         "family",
-        choices=("complete", "bipartite", "odd-complete", "odd-bipartite", "degrees"),
+        choices=TABLE_FAMILIES + ("degrees",),
     )
     count.add_argument("--n", type=int)
     count.add_argument("--m", type=int)
@@ -83,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--complete-max", type=int, default=verify.DEFAULT_COMPLETE_MAX)
     ver.add_argument("--bipartite-max", type=int, default=verify.DEFAULT_BIPARTITE_MAX)
     ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     table = sub.add_parser("table", help="emit a table of counts")
@@ -112,13 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--edges", type=_edge_list, metavar="U-V,U-V,...")
     oracle.add_argument("--vertices", type=int)
 
-    bench = sub.add_parser("bench", help="time equivalent evaluation strategies")
-    bench.add_argument(
-        "task", choices=("hypercube-vs-collapse", "composition-sum", "oracle-sweep")
-    )
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--power", type=int)
-
     return parser
 
 
@@ -130,16 +125,10 @@ def _require(value, flag: str):
 
 def _run_count(args) -> int:
     family = args.family
-    if family == "complete":
-        value = formulas.spanning_trees_complete(_require(args.n, "--n"))
-    elif family == "odd-complete":
-        value = formulas.odd_spanning_trees_complete(_require(args.n, "--n"))
-    elif family == "bipartite":
-        value = formulas.spanning_trees_bipartite(
-            _require(args.m, "--m"), _require(args.n, "--n")
-        )
-    elif family == "odd-bipartite":
-        value = formulas.odd_spanning_trees_bipartite(
+    if family in _COMPLETE_TABLE_FNS:
+        value = _COMPLETE_TABLE_FNS[family](_require(args.n, "--n"))
+    elif family in _BIPARTITE_TABLE_FNS:
+        value = _BIPARTITE_TABLE_FNS[family](
             _require(args.m, "--m"), _require(args.n, "--n")
         )
     else:  # degrees
@@ -166,7 +155,6 @@ def _run_verify(args) -> int:
         complete_max=args.complete_max,
         bipartite_max=args.bipartite_max,
         seed=args.seed,
-        jobs=args.jobs,
     )
     if args.format == "jsonl":
         print(verify.render_jsonl(report))
@@ -226,15 +214,11 @@ def _run_signsum(args) -> int:
     return 1
 
 
-def _all_odd(degrees: Sequence[int]) -> bool:
-    return all(d % 2 == 1 for d in degrees)
-
-
 def _run_oracle(args) -> int:
     if args.kind == "complete":
         n = _require(args.n, "--n")
         if args.odd:
-            value = oracles.count_trees_complete_brute(n, _all_odd)
+            value = oracles.count_trees_complete_brute(n, oracles.all_odd)
         elif args.degrees is not None:
             target = tuple(args.degrees)
             value = oracles.count_trees_complete_brute(n, lambda d: d == target)
@@ -244,7 +228,7 @@ def _run_oracle(args) -> int:
         m, n = _require(args.m, "--m"), _require(args.n, "--n")
         if args.odd:
             value = oracles.count_trees_bipartite_brute(
-                m, n, lambda a, b: _all_odd(a + b)
+                m, n, lambda a, b: oracles.all_odd(a + b)
             )
         elif args.a is not None or args.b is not None:
             target = (tuple(_require(args.a, "--a")), tuple(_require(args.b, "--b")))
@@ -284,70 +268,18 @@ def _graph_from_args(args) -> oracles.LabeledGraph:
     return oracles.LabeledGraph(vertices, args.edges)
 
 
-def _timed(fn) -> tuple[Count, float]:
-    start = time.perf_counter()
-    value = fn()
-    return value, (time.perf_counter() - start) * 1e3
-
-
-def _report_strategies(results: list[tuple[str, Count, float]]) -> int:
-    for name, value, elapsed in results:
-        print(f"strategy={name} value={value} elapsed_ms={elapsed:.1f}")
-    values = {value for _, value, _ in results}
-    if len(values) == 1:
-        print("match")
-        return 0
-    print("mismatch", file=sys.stderr)
-    return 1
-
-
-def _run_bench(args) -> int:
-    n = args.n
-    if args.task == "hypercube-vs-collapse":
-        power = _require(args.power, "--power")
-        ones = [1] * n
-        direct, t_direct = _timed(lambda: signsum.hypercube_power_sum(ones, power))
-        collapsed, t_collapsed = _timed(lambda: signsum.binomial_power_sum(n, power))
-        return _report_strategies(
-            [
-                ("hypercube", direct, t_direct),
-                ("binomial-collapse", collapsed, t_collapsed),
-            ]
-        )
-    if args.task == "composition-sum":
-        closed, t_closed = _timed(lambda: formulas.odd_spanning_trees_complete(n))
-        summed, t_summed = _timed(
-            lambda: formulas.odd_spanning_trees_complete_by_sum(n)
-        )
-        return _report_strategies(
-            [
-                ("binomial-form", closed, t_closed),
-                ("composition-sum", summed, t_summed),
-            ]
-        )
-    # oracle-sweep
-    brute, t_brute = _timed(lambda: oracles.count_trees_complete_brute(n, _all_odd))
-    formula, t_formula = _timed(lambda: formulas.odd_spanning_trees_complete(n))
-    print(f"sequences={n ** (n - 2) if n >= 2 else 1}")
-    return _report_strategies(
-        [
-            ("pruefer-sweep", brute, t_brute),
-            ("closed-form", formula, t_formula),
-        ]
-    )
-
-
 _HANDLERS = {
     "count": _run_count,
     "verify": _run_verify,
     "table": _run_table,
     "signsum": _run_signsum,
     "oracle": _run_oracle,
-    "bench": _run_bench,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11
+        sys.set_int_max_str_digits(0)  # counts print in full, however long
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -355,6 +287,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never a mismatch (1) or bad usage (2)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -10,9 +10,6 @@ import math
 import threading
 from typing import Iterator, Sequence
 
-Count = int        # nonnegative exact integer
-SignedSum = int    # signed exact integer
-
 
 class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder.
@@ -30,7 +27,7 @@ _fact_table = [1]
 _fact_lock = threading.Lock()
 
 
-def factorial(k: int) -> Count:
+def factorial(k: int) -> int:
     """Return k! exactly, memoized up to the largest k seen so far.
 
     The shared table only grows, and only under a lock; lock-free reads
@@ -45,7 +42,7 @@ def factorial(k: int) -> Count:
     return _fact_table[k]
 
 
-def binomial(n: int, k: int) -> Count:
+def binomial(n: int, k: int) -> int:
     """Return C(n, k), with the convention C(n, k) = 0 for k < 0 or k > n."""
     if n < 0:
         raise ValueError(f"binomial() requires n >= 0, got {n}")
@@ -54,7 +51,7 @@ def binomial(n: int, k: int) -> Count:
     return math.comb(n, k)
 
 
-def multinomial(total: int, parts: Sequence[int]) -> Count:
+def multinomial(total: int, parts: Sequence[int]) -> int:
     """Return total! / (parts[0]! * parts[1]! * ... ).
 
     The parts must be nonnegative and sum to `total`; anything else raises
@@ -69,13 +66,6 @@ def multinomial(total: int, parts: Sequence[int]) -> Count:
         )
     numerator = factorial(total)  # also grows the table past every part
     return numerator // math.prod(map(_fact_table.__getitem__, parts))
-
-
-def int_pow(base: int, exp: int) -> SignedSum:
-    """Return base**exp over exact integers, with 0**0 = 1."""
-    if exp < 0:
-        raise ValueError(f"int_pow() requires exp >= 0, got {exp}")
-    return base ** exp
 
 
 def exact_div(value: int, divisor: int) -> int:

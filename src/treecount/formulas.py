@@ -15,31 +15,12 @@ sweep composition spaces without tripping on infeasible profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .combinatorics import Count, even_compositions, exact_div, multinomial
+from .combinatorics import even_compositions, exact_div, multinomial
 from .signsum import binomial_power_sum
 
 DegreeSequence = Sequence[int]
-
-
-@dataclass(frozen=True)
-class Complete:
-    """The complete graph on n labeled vertices."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class CompleteBipartite:
-    """The complete bipartite graph with side sizes m and n."""
-
-    m: int
-    n: int
-
-
-GraphFamily = Union[Complete, CompleteBipartite]
 
 
 def _check_size(value: int, name: str) -> None:
@@ -54,7 +35,7 @@ def _check_degrees(degrees: DegreeSequence, name: str) -> None:
         raise ValueError(f"{name} entries must be positive, got {list(degrees)}")
 
 
-def spanning_trees_complete(n: int) -> Count:
+def spanning_trees_complete(n: int) -> int:
     """Number of labeled spanning trees of the complete graph: n**(n-2).
 
     n = 1 and n = 2 are special-cased to 1 so the exponent never goes
@@ -66,14 +47,14 @@ def spanning_trees_complete(n: int) -> Count:
     return n ** (n - 2)
 
 
-def spanning_trees_bipartite(m: int, n: int) -> Count:
+def spanning_trees_bipartite(m: int, n: int) -> int:
     """Number of spanning trees of the complete bipartite graph: m**(n-1) * n**(m-1)."""
     _check_size(m, "m")
     _check_size(n, "n")
     return m ** (n - 1) * n ** (m - 1)
 
 
-def trees_with_degrees_complete(degrees: DegreeSequence) -> Count:
+def trees_with_degrees_complete(degrees: DegreeSequence) -> int:
     """Spanning trees of the complete graph where vertex i has degree degrees[i].
 
     Equals (n-2)! / prod((d_i - 1)!) when the degrees sum to 2n-2, and 0
@@ -88,7 +69,7 @@ def trees_with_degrees_complete(degrees: DegreeSequence) -> Count:
     return multinomial(n - 2, [d - 1 for d in degrees])
 
 
-def trees_with_degrees_bipartite(side_a: DegreeSequence, side_b: DegreeSequence) -> Count:
+def trees_with_degrees_bipartite(side_a: DegreeSequence, side_b: DegreeSequence) -> int:
     """Spanning trees of K_{m,n} with prescribed degrees on both sides.
 
     Equals (m-1)!(n-1)! / (prod((a_i - 1)!) * prod((b_j - 1)!)) when each
@@ -107,7 +88,7 @@ def trees_with_degrees_bipartite(side_a: DegreeSequence, side_b: DegreeSequence)
     )
 
 
-def odd_spanning_trees_complete(n: int) -> Count:
+def odd_spanning_trees_complete(n: int) -> int:
     """Number of spanning trees of the complete graph with every degree odd.
 
     Evaluates sum_k C(n,k)(2k-n)**(n-2) / 2**n in exact integers; the
@@ -121,7 +102,7 @@ def odd_spanning_trees_complete(n: int) -> Count:
     return exact_div(binomial_power_sum(n, n - 2), 1 << n)
 
 
-def odd_spanning_trees_complete_by_sum(n: int) -> Count:
+def odd_spanning_trees_complete_by_sum(n: int) -> int:
     """Odd spanning tree count of the complete graph, composition-sum form.
 
     Sums (n-2)!/(k1!...kn!) over all even compositions of n-2 into n
@@ -138,7 +119,7 @@ def odd_spanning_trees_complete_by_sum(n: int) -> Count:
     )
 
 
-def odd_spanning_trees_bipartite(m: int, n: int) -> Count:
+def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     """Number of spanning trees of K_{m,n} with every degree odd.
 
     Evaluates the product of the two one-sided binomial sums divided by
@@ -152,7 +133,7 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> Count:
     return exact_div(bracket_a * bracket_b, 1 << (m + n))
 
 
-def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> Count:
+def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> int:
     """Odd spanning tree count of K_{m,n}, composition-sum form.
 
     The double sum over even compositions of n-1 (side a excesses) and of
@@ -164,15 +145,3 @@ def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> Count:
     side_a = sum(multinomial(n - 1, c) for c in even_compositions(n - 1, m))
     side_b = sum(multinomial(m - 1, c) for c in even_compositions(m - 1, n))
     return side_a * side_b
-
-
-def tree_count(family: GraphFamily) -> Count:
-    if isinstance(family, Complete):
-        return spanning_trees_complete(family.n)
-    return spanning_trees_bipartite(family.m, family.n)
-
-
-def odd_tree_count(family: GraphFamily) -> Count:
-    if isinstance(family, Complete):
-        return odd_spanning_trees_complete(family.n)
-    return odd_spanning_trees_bipartite(family.m, family.n)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .combinatorics import Count, SizeLimitError
+from .combinatorics import SizeLimitError
 
 PrueferSequence = Sequence[int]
 
@@ -26,6 +26,11 @@ BRUTE_FORCE_LIMIT = 9
 
 DegreePredicate = Callable[[tuple[int, ...]], bool]
 BipartiteDegreePredicate = Callable[[tuple[int, ...], tuple[int, ...]], bool]
+
+
+def all_odd(degrees: Sequence[int]) -> bool:
+    """The odd-tree filter: every degree in the profile is odd."""
+    return all(d % 2 == 1 for d in degrees)
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,7 @@ def _bipartite_split_tally(total: int) -> dict[int, dict[tuple[int, ...], int]]:
 
 def count_trees_complete_brute(
     n: int, predicate: DegreePredicate | None = None
-) -> Count:
+) -> int:
     """Count labeled trees on 1..n whose degree profile satisfies `predicate`.
 
     Pure enumeration over all n**(n-2) Prüfer sequences; `None` accepts
@@ -272,7 +277,7 @@ def count_trees_complete_brute(
 
 def count_trees_bipartite_brute(
     m: int, n: int, predicate: BipartiteDegreePredicate | None = None
-) -> Count:
+) -> int:
     """Count spanning trees of K_{m,n} whose degree profile satisfies `predicate`.
 
     Side A is vertices 1..m, side B is m+1..m+n.  Enumerates all labeled
@@ -331,7 +336,7 @@ def _bareiss_determinant(matrix: list[list[int]]) -> int:
     return sign * matrix[size - 1][size - 1]
 
 
-def matrix_tree_count(graph: LabeledGraph) -> Count:
+def matrix_tree_count(graph: LabeledGraph) -> int:
     """Count spanning trees of any simple graph via the Matrix-Tree theorem.
 
     Builds the Laplacian with the row and column of vertex 1 deleted and

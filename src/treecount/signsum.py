@@ -18,11 +18,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .combinatorics import (
-    SignedSum,
     SizeLimitError,
     binomial,
     even_compositions,
-    int_pow,
     multinomial,
 )
 
@@ -33,7 +31,7 @@ SignVector = tuple[int, ...]  # entries in {-1, +1}
 HYPERCUBE_LIMIT = 24
 
 
-def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> SignedSum:
+def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     """Sum (a1*y1 + ... + an*yn)**power over all sign vectors y in {-1,+1}**n.
 
     Walks the hypercube in Gray-code order so each step updates the linear
@@ -60,7 +58,7 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> SignedSum:
     return total
 
 
-def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> SignedSum:
+def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
     """Evaluate the hypercube power sum through its multinomial expansion.
 
     Equals 2**n times the sum, over all even compositions (k1, ..., kn) of
@@ -83,7 +81,7 @@ def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> SignedSum:
     return (1 << n) * total
 
 
-def binomial_power_sum(n: int, power: int) -> SignedSum:
+def binomial_power_sum(n: int, power: int) -> int:
     """Sum C(n,k) * (2k - n)**power for k = 0..n.
 
     This is hypercube_power_sum with all-ones coefficients: a sign vector
@@ -94,4 +92,4 @@ def binomial_power_sum(n: int, power: int) -> SignedSum:
         raise ValueError(f"binomial_power_sum() requires n >= 1, got {n}")
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
-    return sum(binomial(n, k) * int_pow(2 * k - n, power) for k in range(n + 1))
+    return sum(binomial(n, k) * (2 * k - n) ** power for k in range(n + 1))

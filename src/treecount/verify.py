@@ -11,12 +11,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .combinatorics import (
-    SizeLimitError,
     even_compositions,
     positive_compositions,
 )
@@ -33,6 +31,7 @@ from .formulas import (
 from .oracles import (
     BRUTE_FORCE_LIMIT,
     LabeledGraph,
+    all_odd,
     count_trees_bipartite_brute,
     count_trees_complete_brute,
     matrix_tree_count,
@@ -107,8 +106,9 @@ class _CaseSpec:
         error = None
         try:
             formula_value, oracle_value = self.evaluate()
-        except SizeLimitError as exc:  # reported per case, not fatal to the sweep
-            formula_value, oracle_value, error = 0, 0, str(exc)
+        except Exception as exc:  # reported per case, not fatal to the sweep
+            formula_value, oracle_value = 0, 0
+            error = f"{type(exc).__name__}: {exc}"
         elapsed = (time.perf_counter() - start) * 1e3
         return VerificationCase(
             self.family,
@@ -121,90 +121,59 @@ class _CaseSpec:
         )
 
 
-def _all_odd(degrees: Sequence[int]) -> bool:
-    return all(d % 2 == 1 for d in degrees)
-
-
-def _complete_specs(max_n: int) -> Iterator[_CaseSpec]:
-    for n in range(1, max_n + 1):
-        yield _CaseSpec(
-            "odd-complete",
-            {"n": n},
-            "pruefer-brute",
-            lambda n=n: (
-                odd_spanning_trees_complete(n),
-                count_trees_complete_brute(n, _all_odd),
+# family -> (formula, {oracle_kind: oracle}).  Complete families take n,
+# bipartite families m and n, as keywords.  The lambdas look every function
+# up when called, so a patched module attribute takes effect.
+_SWEEPS = {
+    "complete": (
+        lambda n: spanning_trees_complete(n),
+        {
+            "pruefer-brute": lambda n: count_trees_complete_brute(n),
+            "matrix-tree": lambda n: matrix_tree_count(LabeledGraph.complete(n)),
+        },
+    ),
+    "odd-complete": (
+        lambda n: odd_spanning_trees_complete(n),
+        {
+            "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
+            "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
+        },
+    ),
+    "bipartite": (
+        lambda m, n: spanning_trees_bipartite(m, n),
+        {
+            "pruefer-brute": lambda m, n: count_trees_bipartite_brute(m, n),
+            "matrix-tree": lambda m, n: matrix_tree_count(
+                LabeledGraph.complete_bipartite(m, n)
             ),
-        )
-        yield _CaseSpec(
-            "complete",
-            {"n": n},
-            "pruefer-brute",
-            lambda n=n: (spanning_trees_complete(n), count_trees_complete_brute(n)),
-        )
-        yield _CaseSpec(
-            "complete",
-            {"n": n},
-            "matrix-tree",
-            lambda n=n: (
-                spanning_trees_complete(n),
-                matrix_tree_count(LabeledGraph.complete(n)),
+        },
+    ),
+    "odd-bipartite": (
+        lambda m, n: odd_spanning_trees_bipartite(m, n),
+        {
+            "pruefer-brute": lambda m, n: count_trees_bipartite_brute(
+                m, n, lambda a, b: all_odd(a + b)
             ),
-        )
-        if n >= 2:
-            yield _CaseSpec(
-                "odd-complete",
-                {"n": n},
-                "composition-sum",
-                lambda n=n: (
-                    odd_spanning_trees_complete(n),
-                    odd_spanning_trees_complete_by_sum(n),
-                ),
-            )
+            "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
+        },
+    ),
+}
 
 
-def _bipartite_specs(max_total: int) -> Iterator[_CaseSpec]:
-    for m in range(1, max_total):
-        for n in range(1, max_total - m + 1):
-            params = {"m": m, "n": n}
-            yield _CaseSpec(
-                "odd-bipartite",
-                params,
-                "pruefer-brute",
-                lambda m=m, n=n: (
-                    odd_spanning_trees_bipartite(m, n),
-                    count_trees_bipartite_brute(
-                        m, n, lambda a, b: _all_odd(a + b)
-                    ),
-                ),
-            )
-            yield _CaseSpec(
-                "bipartite",
-                params,
-                "pruefer-brute",
-                lambda m=m, n=n: (
-                    spanning_trees_bipartite(m, n),
-                    count_trees_bipartite_brute(m, n),
-                ),
-            )
-            yield _CaseSpec(
-                "bipartite",
-                params,
-                "matrix-tree",
-                lambda m=m, n=n: (
-                    spanning_trees_bipartite(m, n),
-                    matrix_tree_count(LabeledGraph.complete_bipartite(m, n)),
-                ),
-            )
-            yield _CaseSpec(
-                "odd-bipartite",
-                params,
-                "composition-sum",
-                lambda m=m, n=n: (
-                    odd_spanning_trees_bipartite(m, n),
-                    odd_spanning_trees_bipartite_by_sum(m, n),
-                ),
-            )
+def _family_specs(families: Sequence[str], sizes: list[dict]) -> Iterator[_CaseSpec]:
+    for family in families:
+        formula, oracles = _SWEEPS[family]
+        for params in sizes:
+            for kind, oracle in oracles.items():
+                # the sizes sum to the vertex count; composition sums need two
+                if kind == "composition-sum" and sum(params.values()) < 2:
+                    continue
+                yield _CaseSpec(
+                    family,
+                    params,
+                    kind,
+                    lambda f=formula, o=oracle, p=params: (f(**p), o(**p)),
+                )
 
 
 def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]:
@@ -342,9 +311,15 @@ def build_specs(
         raise ValueError(f"unknown verification scope(s): {sorted(unknown)}")
     specs: list[_CaseSpec] = []
     if "complete" in scopes:
-        specs.extend(_complete_specs(complete_max))
+        sizes = [{"n": n} for n in range(1, complete_max + 1)]
+        specs.extend(_family_specs(("complete", "odd-complete"), sizes))
     if "bipartite" in scopes:
-        specs.extend(_bipartite_specs(bipartite_max))
+        sizes = [
+            {"m": m, "n": n}
+            for m in range(1, bipartite_max)
+            for n in range(1, bipartite_max - m + 1)
+        ]
+        specs.extend(_family_specs(("bipartite", "odd-bipartite"), sizes))
     if "degrees" in scopes:
         specs.extend(_degrees_specs(complete_max, bipartite_max))
     if "signsum" in scopes:
@@ -358,23 +333,14 @@ def run_verification(
     complete_max: int = DEFAULT_COMPLETE_MAX,
     bipartite_max: int = DEFAULT_BIPARTITE_MAX,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Run the requested sweeps and return the report.
 
-    `jobs` only controls how many worker threads evaluate cases; every
-    case is pure, and the report (ordering included) is identical for any
-    worker count.
+    A case whose formula or oracle raises is recorded as failed, with the
+    exception as its `error`, and the sweep goes on.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     specs = build_specs(scopes, complete_max, bipartite_max, seed)
-    if jobs == 1:
-        cases = [spec.run() for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(_CaseSpec.run, specs))
-    return VerificationReport(cases)
+    return VerificationReport([spec.run() for spec in specs])
 
 
 def _format_parameters(parameters: dict) -> str:

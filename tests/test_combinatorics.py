@@ -12,7 +12,6 @@ from treecount.combinatorics import (
     even_compositions,
     exact_div,
     factorial,
-    int_pow,
     multinomial,
     positive_compositions,
 )
@@ -125,39 +124,6 @@ class TestMultinomial:
         reference = multinomial(total, parts)
         assert multinomial(total, sorted(parts)) == reference
         assert multinomial(total, sorted(parts, reverse=True)) == reference
-
-
-class TestIntPow:
-    def test_zero_to_the_zero_is_one(self):
-        assert int_pow(0, 0) == 1
-
-    def test_sign_rule(self):
-        assert int_pow(-2, 3) == -8
-
-    def test_against_repeated_multiplication(self):
-        acc = 1
-        for _ in range(4):
-            acc *= 3
-        assert int_pow(3, 4) == acc == 81
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            int_pow(2, -1)
-
-    @given(
-        st.integers(-5, 5).filter(lambda b: b != 0),
-        st.integers(0, 20),
-        st.integers(0, 20),
-    )
-    def test_exponent_additivity_for_nonzero_base(self, base, e1, e2):
-        if e1 + e2 > 20:
-            e2 = 20 - e1
-        assert int_pow(base, e1 + e2) == int_pow(base, e1) * int_pow(base, e2)
-
-    def test_zero_base_convention(self):
-        assert int_pow(0, 0) == 1
-        for exp in range(1, 10):
-            assert int_pow(0, exp) == 0
 
 
 class TestExactDiv:

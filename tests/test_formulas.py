@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecount.cli import _BIPARTITE_TABLE_FNS, _COMPLETE_TABLE_FNS
 from treecount.combinatorics import positive_compositions
 from treecount.formulas import (
-    Complete,
-    CompleteBipartite,
     odd_spanning_trees_bipartite,
     odd_spanning_trees_bipartite_by_sum,
     odd_spanning_trees_complete,
     odd_spanning_trees_complete_by_sum,
-    odd_tree_count,
     spanning_trees_bipartite,
     spanning_trees_complete,
-    tree_count,
     trees_with_degrees_bipartite,
     trees_with_degrees_complete,
 )
@@ -233,10 +230,12 @@ class TestClosureSums:
 
 
 class TestFamilyDispatch:
+    """The family tables that count and table dispatch through."""
+
     def test_tree_count(self):
-        assert tree_count(Complete(4)) == 16
-        assert tree_count(CompleteBipartite(2, 3)) == 12
+        assert _COMPLETE_TABLE_FNS["complete"](4) == 16
+        assert _BIPARTITE_TABLE_FNS["bipartite"](2, 3) == 12
 
     def test_odd_tree_count(self):
-        assert odd_tree_count(Complete(6)) == 96
-        assert odd_tree_count(CompleteBipartite(3, 3)) == 9
+        assert _COMPLETE_TABLE_FNS["odd-complete"](6) == 96
+        assert _BIPARTITE_TABLE_FNS["odd-bipartite"](3, 3) == 9

@@ -39,10 +39,10 @@ class TestRunVerification:
         ]
         assert keys == sorted(keys)
 
-    def test_deterministic_across_runs_and_jobs(self):
+    def test_deterministic_across_runs(self):
         kwargs = dict(scopes=("signsum",), seed=99)
-        first = verify.run_verification(jobs=1, **kwargs)
-        second = verify.run_verification(jobs=3, **kwargs)
+        first = verify.run_verification(**kwargs)
+        second = verify.run_verification(**kwargs)
         assert strip_elapsed([c.to_record() for c in first.cases]) == strip_elapsed(
             [c.to_record() for c in second.cases]
         )
@@ -62,14 +62,27 @@ class TestRunVerification:
             verify.run_verification(scopes=("complete",), complete_max=10)
         with pytest.raises(ValueError):
             verify.run_verification(scopes=("bipartite",), bipartite_max=12)
-        with pytest.raises(ValueError):
-            verify.run_verification(scopes=("signsum",), jobs=0)
 
     def test_mismatch_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(verify, "odd_spanning_trees_complete", lambda n: 12345)
         report = verify.run_verification(scopes=("complete",), complete_max=3)
         assert not report.all_match
         assert report.summary["failed"] > 0
+
+    def test_raising_formula_fails_only_its_cases(self, monkeypatch):
+        kwargs = dict(scopes=("complete", "bipartite"), complete_max=4, bipartite_max=4)
+        clean = verify.run_verification(**kwargs)
+
+        def broken(m, n):
+            raise RuntimeError("broken formula")
+
+        monkeypatch.setattr(verify, "odd_spanning_trees_bipartite", broken)
+        report = verify.run_verification(**kwargs)
+        keys = lambda r: [(c.family, c.parameters, c.oracle_kind) for c in r.cases]
+        assert keys(report) == keys(clean)
+        failed = [c for c in report.cases if not c.match]
+        assert failed == [c for c in report.cases if c.family == "odd-bipartite"]
+        assert {c.error for c in failed} == {"RuntimeError: broken formula"}
 
 
 class TestRendering:
