@@ -1,8 +1,10 @@
 """Independent brute-force ground truth for every closed-form counter.
 
-Two unrelated oracles, so a bug in one cannot hide in the other:
+Three unrelated oracles, so a bug in one cannot hide in another:
 
-* exhaustive Prüfer enumeration -- decode every sequence, filter, count;
+* exhaustive Prüfer enumeration for K_n -- decode every sequence, filter, count;
+* edge-subset enumeration for K_{m,n} -- try every (m+n-1)-subset of the
+  edges, keep the trees, filter, count;
 * the Matrix-Tree determinant of the reduced Laplacian, computed with
   fraction-free (Bareiss) elimination over exact integers.
 
@@ -14,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import SizeLimitError
 
 PrueferSequence = Sequence[int]
 
-# n**(n-2) sequences at n = 9 is ~4.8M decodes, the desk-scale ceiling.
+# The desk-scale ceiling: 9**7 (~4.8M) decodes for K_9, C(20, 8) subsets for K_{4,5}.
 BRUTE_FORCE_LIMIT = 9
 
 DegreePredicate = Callable[[tuple[int, ...]], bool]
@@ -189,65 +191,22 @@ def _complete_degree_tally(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _bipartite_split_tally(total: int) -> dict[int, dict[tuple[int, ...], int]]:
-    """Degree-profile tallies of split-respecting trees, for every split point.
+def _bipartite_degree_tally(m: int, n: int) -> dict[tuple[int, ...], int]:
+    """Tally of degree profiles over the spanning trees of K_{m,n}.
 
-    One pass over all total**(total-2) sequences.  Each sequence is decoded
-    once; an edge (u, v) with u < v tolerates exactly the splits
-    u <= m <= v - 1, so the splits a tree respects form one interval
-    [lo, hi], maintained during the decode and abandoned early once empty.
-    The decode is inlined (same pointer algorithm as pruefer_decode) since
-    this loop runs millions of times.
+    The definition of a spanning tree, evaluated directly: every
+    (m+n-1)-subset of the graph's edges that Tree accepts is one tree.
     """
-    tallies: dict[int, dict[tuple[int, ...], int]] = {
-        m: {} for m in range(1, total)
-    }
-    labels = range(1, total + 1)
-    last = total  # the largest label survives to the final edge
-    for seq in product(labels, repeat=total - 2):
-        counts = [1] * (total + 1)
-        for v in seq:
-            counts[v] += 1
-        degree = counts.copy()
-        ptr = 1
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        lo, hi = 1, total - 1
-        alive = True
-        for v in seq:
-            if leaf < v:
-                if leaf > lo:
-                    lo = leaf
-                if v - 1 < hi:
-                    hi = v - 1
-            else:
-                if v > lo:
-                    lo = v
-                if leaf - 1 < hi:
-                    hi = leaf - 1
-            if lo > hi:
-                alive = False
-                break
-            degree[v] -= 1
-            if degree[v] == 1 and v < ptr:
-                leaf = v
-            else:
-                ptr += 1
-                while degree[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        if not alive:
+    edges = sorted(LabeledGraph.complete_bipartite(m, n).edges)
+    tally: dict[tuple[int, ...], int] = {}
+    for subset in combinations(edges, m + n - 1):
+        try:
+            tree = Tree(m + n, subset)
+        except ValueError:  # a cycle, so not a tree
             continue
-        if leaf > lo:  # final edge (leaf, last); hi is already <= last - 1
-            lo = leaf
-        if lo > hi:
-            continue
-        profile = tuple(counts[1:])
-        for m in range(lo, hi + 1):
-            bucket = tallies[m]
-            bucket[profile] = bucket.get(profile, 0) + 1
-    return tallies
+        profile = tree.degrees()
+        tally[profile] = tally.get(profile, 0) + 1
+    return tally
 
 
 def count_trees_complete_brute(
@@ -280,11 +239,10 @@ def count_trees_bipartite_brute(
 ) -> int:
     """Count spanning trees of K_{m,n} whose degree profile satisfies `predicate`.
 
-    Side A is vertices 1..m, side B is m+1..m+n.  Enumerates all labeled
-    trees on m+n vertices via Prüfer sequences and discards any tree with
-    an edge inside either side; the predicate receives the two per-side
-    degree tuples and must depend only on them.  Bounded at
-    m + n <= BRUTE_FORCE_LIMIT.
+    Side A is vertices 1..m, side B is m+1..m+n.  Tries every
+    (m+n-1)-subset of the graph's m*n edges and keeps those that form a
+    tree; the predicate receives the two per-side degree tuples and must
+    depend only on them.  Bounded at m + n <= BRUTE_FORCE_LIMIT.
     """
     if m < 1 or n < 1:
         raise ValueError(f"side sizes must be >= 1, got m={m}, n={n}")
@@ -294,7 +252,7 @@ def count_trees_bipartite_brute(
             f"bipartite brute force is bounded at m + n <= {BRUTE_FORCE_LIMIT},"
             f" got {total}"
         )
-    tally = _bipartite_split_tally(total)[m]
+    tally = _bipartite_degree_tally(m, n)
     if predicate is None:
         return sum(tally.values())
     return sum(

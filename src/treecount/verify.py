@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 from .combinatorics import (
@@ -142,7 +143,7 @@ _SWEEPS = {
     "bipartite": (
         lambda m, n: spanning_trees_bipartite(m, n),
         {
-            "pruefer-brute": lambda m, n: count_trees_bipartite_brute(m, n),
+            "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n),
             "matrix-tree": lambda m, n: matrix_tree_count(
                 LabeledGraph.complete_bipartite(m, n)
             ),
@@ -151,7 +152,7 @@ _SWEEPS = {
     "odd-bipartite": (
         lambda m, n: odd_spanning_trees_bipartite(m, n),
         {
-            "pruefer-brute": lambda m, n: count_trees_bipartite_brute(
+            "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(
                 m, n, lambda a, b: all_odd(a + b)
             ),
             "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
@@ -239,7 +240,7 @@ def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]
                     yield _CaseSpec(
                         "degrees-bipartite",
                         {"m": m, "n": n, "a": list(side_a), "b": list(side_b)},
-                        "pruefer-brute",
+                        "edge-subset-brute",
                         lambda m=m, n=n, side_a=side_a, side_b=side_b: (
                             trees_with_degrees_bipartite(side_a, side_b),
                             count_trees_bipartite_brute(
@@ -262,10 +263,8 @@ def _signsum_specs(seed: int) -> Iterator[_CaseSpec]:
         )
 
     # exhaustive tiny block
-    from itertools import product as _product
-
     for n in (1, 2):
-        for coeffs in _product(range(-2, 3), repeat=n):
+        for coeffs in product(range(-2, 3), repeat=n):
             for power in range(4):
                 yield spec_for(coeffs, power)
     # seeded random block at larger sizes
@@ -306,6 +305,8 @@ def build_specs(
         raise ValueError(
             f"bipartite sweep bound must be in 2..{BRUTE_FORCE_LIMIT}, got {bipartite_max}"
         )
+    if not scopes:
+        raise ValueError("no verification scope given")
     unknown = set(scopes) - set(ALL_SCOPES)
     if unknown:
         raise ValueError(f"unknown verification scope(s): {sorted(unknown)}")

@@ -4,9 +4,10 @@ One test per criterion; each prints a `[PASS]`/`[FAIL]` line (visible with
 ``pytest -s``) and asserts exact equality -- every check here is integer
 arithmetic, so the tolerance is zero everywhere.
 
-Expected runtimes below are for commodity hardware; the heaviest single
-pass (all 9**7 sequences on nine vertices) is shared across criteria
-through the oracle module's internal cache.
+Expected runtimes below are for commodity hardware.  The oracle module
+caches one brute-force tally per graph -- all n**(n-2) Prüfer sequences
+for K_n, all (m+n-1)-edge subsets for K_{m,n}, the largest being the
+C(20, 8) subsets of K_{4,5} -- and the criteria share those tallies.
 """
 
 import random

@@ -163,6 +163,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("scope", [",", ""])
+    def test_empty_scope_is_usage_error(self, capsys, scope):
+        code, out, err = run_cli(capsys, "verify", "--scope", scope)
+        assert (code, out) == (2, "")
+        assert "error: no verification scope given" in err
+
 
 class TestTable:
     def test_odd_complete_csv(self, capsys):

@@ -1,11 +1,12 @@
 """Tests for the brute-force oracles, including oracle-vs-oracle agreement."""
 
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
-from treecount.combinatorics import SizeLimitError
+from treecount.combinatorics import SizeLimitError, positive_compositions
 from treecount.oracles import (
     LabeledGraph,
     Tree,
@@ -21,23 +22,30 @@ def all_odd(degrees):
     return all(d % 2 == 1 for d in degrees)
 
 
-def naive_bipartite_count(m, n, predicate=None):
-    """Reference loop: decode every sequence via the public pruefer_decode
-    and check the side split edge by edge.  Independent of the fused sweep
-    in the oracles module."""
+@lru_cache(maxsize=None)
+def naive_bipartite_profiles(m, n):
+    """Reference loop: decode every sequence via the public pruefer_decode,
+    keep the trees with no edge inside a side, and list their per-side
+    degree tuples.  Independent of the edge-subset enumeration in the
+    oracles module."""
     total = m + n
-    if total == 2:
-        side_a, side_b = (1,), (1,)
-        return 1 if predicate is None or predicate(side_a, side_b) else 0
-    count = 0
+    profiles = []
     for seq in product(range(1, total + 1), repeat=total - 2):
         tree = pruefer_decode(seq, total)
         if any((u <= m) == (v <= m) for u, v in tree.edges):
             continue
         degrees = tree.degrees()
-        if predicate is None or predicate(degrees[:m], degrees[m:]):
-            count += 1
-    return count
+        profiles.append((degrees[:m], degrees[m:]))
+    return profiles
+
+
+def naive_bipartite_count(m, n, predicate=None):
+    """Number of reference trees whose side degrees satisfy `predicate`."""
+    return sum(
+        1
+        for a, b in naive_bipartite_profiles(m, n)
+        if predicate is None or predicate(a, b)
+    )
 
 
 def naive_decode_edges(seq, n):
@@ -198,6 +206,10 @@ class TestCompleteBruteForce:
             assert count_trees_complete_brute(n, all_odd) == by_decode
 
 
+# every side split (m, n) with m + n <= 7
+SMALL_SPLITS = [(m, total - m) for total in range(2, 8) for m in range(1, total)]
+
+
 class TestBipartiteBruteForce:
     def test_accept_all_small(self):
         assert count_trees_bipartite_brute(1, 1) == 1
@@ -215,9 +227,9 @@ class TestBipartiteBruteForce:
             count_trees_bipartite_brute(0, 3)
 
     def test_matches_naive_decode_loop(self):
-        for m, n in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4), (1, 5)]:
+        odd = lambda a, b: all_odd(a + b)
+        for m, n in SMALL_SPLITS:
             assert count_trees_bipartite_brute(m, n) == naive_bipartite_count(m, n)
-            odd = lambda a, b: all_odd(a + b)
             assert count_trees_bipartite_brute(m, n, odd) == naive_bipartite_count(
                 m, n, odd
             )
@@ -228,6 +240,13 @@ class TestBipartiteBruteForce:
         assert count_trees_bipartite_brute(2, 3, predicate) == naive_bipartite_count(
             2, 3, predicate
         ) == 2
+        for m, n in SMALL_SPLITS:
+            for side_a in positive_compositions(m + n - 1, m):
+                for side_b in positive_compositions(m + n - 1, n):
+                    predicate = lambda a, b: (a, b) == (side_a, side_b)
+                    assert count_trees_bipartite_brute(
+                        m, n, predicate
+                    ) == naive_bipartite_count(m, n, predicate), (side_a, side_b)
 
 
 class TestMatrixTreeCount:

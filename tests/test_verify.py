@@ -57,6 +57,10 @@ class TestRunVerification:
         with pytest.raises(ValueError):
             verify.run_verification(scopes=("nonsense",))
 
+    def test_empty_scope_rejected(self):
+        with pytest.raises(ValueError, match="no verification scope"):
+            verify.build_specs(scopes=())
+
     def test_out_of_range_bounds_rejected(self):
         with pytest.raises(ValueError):
             verify.run_verification(scopes=("complete",), complete_max=10)
@@ -83,6 +87,32 @@ class TestRunVerification:
         failed = [c for c in report.cases if not c.match]
         assert failed == [c for c in report.cases if c.family == "odd-bipartite"]
         assert {c.error for c in failed} == {"RuntimeError: broken formula"}
+
+
+class TestCaseContract:
+    """The case lists the benchmark relies on: built, never run."""
+
+    def test_default_case_count(self):
+        assert len(verify.build_specs()) == 636
+
+    def test_complete_signsum_case_count(self):
+        specs = verify.build_specs(scopes=("complete", "signsum"), complete_max=6)
+        assert len(specs) == 163
+
+    def test_brute_force_kind_follows_the_graph_side(self):
+        kinds = {}
+        for spec in verify.build_specs():
+            kinds.setdefault(spec.oracle_kind, set()).add(spec.family)
+        assert kinds["pruefer-brute"] == {
+            "complete",
+            "odd-complete",
+            "degrees-complete",
+        }
+        assert kinds["edge-subset-brute"] == {
+            "bipartite",
+            "odd-bipartite",
+            "degrees-bipartite",
+        }
 
 
 class TestRendering:
