@@ -38,6 +38,7 @@ from .oracles import (
 from .signsum import (
     HYPERCUBE_LIMIT,
     binomial_power_sum,
+    even_multinomial_sum,
     hypercube_power_sum,
     multinomial_power_sum,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "count_trees_complete_brute",
     "degrees_from_pruefer",
     "even_compositions",
+    "even_multinomial_sum",
     "exact_div",
     "factorial",
     "hypercube_power_sum",

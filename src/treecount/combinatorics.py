@@ -7,7 +7,6 @@ exact at any magnitude and serialize losslessly via str()/int().
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterator, Sequence
 
 
@@ -23,23 +22,11 @@ class SizeLimitError(ValueError):
     """An enumeration was requested beyond its supported size bound."""
 
 
-_fact_table = [1]
-_fact_lock = threading.Lock()
-
-
 def factorial(k: int) -> int:
-    """Return k! exactly, memoized up to the largest k seen so far.
-
-    The shared table only grows, and only under a lock; lock-free reads
-    are safe because existing entries are never mutated.
-    """
+    """Return k! exactly; a negative k raises ValueError."""
     if k < 0:
         raise ValueError(f"factorial() requires k >= 0, got {k}")
-    if k >= len(_fact_table):
-        with _fact_lock:
-            while len(_fact_table) <= k:
-                _fact_table.append(_fact_table[-1] * len(_fact_table))
-    return _fact_table[k]
+    return math.factorial(k)
 
 
 def binomial(n: int, k: int) -> int:
@@ -55,8 +42,8 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     """Return total! / (parts[0]! * parts[1]! * ... ).
 
     The parts must be nonnegative and sum to `total`; anything else raises
-    ValueError.  Hot path for the composition-sum counters, hence the memo
-    table lookups instead of repeated math.factorial calls.
+    ValueError.  The degree-constrained counters evaluate their closed
+    forms with it.
     """
     if parts and min(parts) < 0:
         raise ValueError("multinomial() parts must be nonnegative")
@@ -64,8 +51,7 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
         raise ValueError(
             f"multinomial() parts sum to {sum(parts)}, expected {total}"
         )
-    numerator = factorial(total)  # also grows the table past every part
-    return numerator // math.prod(map(_fact_table.__getitem__, parts))
+    return math.factorial(total) // math.prod(map(math.factorial, parts))
 
 
 def exact_div(value: int, divisor: int) -> int:

@@ -3,8 +3,11 @@
 Covers the total count, the count with a prescribed degree at every vertex,
 and the count of odd spanning trees (spanning trees in which every vertex
 has odd degree).  The odd counters come in two independent forms: a
-binomial sum derived through the sign-hypercube identity, and the raw sum
-over even compositions it collapses from.  Equality of the two forms is a
+binomial sum derived through the sign-hypercube identity, and the sum of
+multinomials over even compositions it collapses from.  The second is
+evaluated as an exponential-generating-function coefficient
+(signsum.even_multinomial_sum), not by listing the compositions, and it
+never goes through the binomial sum.  Equality of the two forms is a
 theorem, and the test suite treats it as one.
 
 All counts are exact ints.  Degree sequences are plain sequences of ints,
@@ -17,8 +20,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .combinatorics import even_compositions, exact_div, multinomial
-from .signsum import binomial_power_sum
+from .combinatorics import exact_div, multinomial
+from .signsum import binomial_power_sum, even_multinomial_sum
 
 DegreeSequence = Sequence[int]
 
@@ -107,16 +110,14 @@ def odd_spanning_trees_complete_by_sum(n: int) -> int:
 
     Sums (n-2)!/(k1!...kn!) over all even compositions of n-2 into n
     parts -- each composition is the profile of degree excesses d_i - 1.
-    Independent of the binomial form above, and much slower; useful as a
-    cross-check and benchmark subject.
+    That is (n-2)! * [x**(n-2)] cosh(x)**n, the Prüfer-code exponential
+    generating function, evaluated with n unit weights by
+    even_multinomial_sum in O(n**3) exact integer steps.  Independent of
+    the binomial form above; useful as a cross-check and benchmark subject.
     """
     if n < 2:
         raise ValueError(f"composition-sum form requires n >= 2, got {n}")
-    total = n - 2
-    return sum(
-        multinomial(total, composition)
-        for composition in even_compositions(total, n)
-    )
+    return even_multinomial_sum([1] * n, n - 2)
 
 
 def odd_spanning_trees_bipartite(m: int, n: int) -> int:
@@ -137,11 +138,10 @@ def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> int:
     """Odd spanning tree count of K_{m,n}, composition-sum form.
 
     The double sum over even compositions of n-1 (side a excesses) and of
-    m-1 (side b excesses) factorizes exactly into two one-sided sums; an
-    odd n-1 or m-1 leaves its index set empty, making the count 0.
+    m-1 (side b excesses) factorizes exactly into two one-sided sums, each
+    an even_multinomial_sum with unit weights; an odd n-1 or m-1 leaves its
+    index set empty, making the count 0.
     """
     _check_size(m, "m")
     _check_size(n, "n")
-    side_a = sum(multinomial(n - 1, c) for c in even_compositions(n - 1, m))
-    side_b = sum(multinomial(m - 1, c) for c in even_compositions(m - 1, n))
-    return side_a * side_b
+    return even_multinomial_sum([1] * m, n - 1) * even_multinomial_sum([1] * n, m - 1)

@@ -4,25 +4,25 @@ Three evaluation strategies for the same family of quantities:
 
 * hypercube_power_sum   -- direct enumeration of all 2**n sign vectors,
 * multinomial_power_sum -- the expansion into even-exponent multinomial
-                           terms (odd exponents cancel pairwise),
+                           terms (odd exponents cancel pairwise), summed
+                           by even_multinomial_sum,
 * binomial_power_sum    -- the all-ones special case, with sign vectors
                            grouped by their number of +1 entries.
 
 All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
 so every identity check is bit-exact.
+
+even_multinomial_sum also gives formulas the composition-sum form of the
+odd spanning-tree counts.  It sums over the even compositions without
+listing them, so its cost grows with n * power**2, not with their number.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .combinatorics import (
-    SizeLimitError,
-    binomial,
-    even_compositions,
-    multinomial,
-)
+from .combinatorics import SizeLimitError, binomial
 
 CoefficientVector = Sequence[int]
 SignVector = tuple[int, ...]  # entries in {-1, +1}
@@ -58,6 +58,36 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     return total
 
 
+def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
+    """Sum power!/(k1!...kn!) * w1**k1 * ... * wn**kn over even compositions.
+
+    The compositions (k1, ..., kn) of `power` have every ki even, so an
+    odd `power` gives 0; with no weights, only power 0 has a composition
+    (the empty one), worth 1.  The sum is power! * [x**power] of
+    prod(cosh(wi*x)): each weight multiplies the running series by
+    cosh(w*x), whose coefficients w**k/k! sit at even k only.  In
+    exponential form that product is the convolution
+    a'[t] = sum over even k <= t of C(t, k) * w**k * a[t-k], and only the
+    even-indexed entries a[2j] are ever nonzero.  Every step is an exact
+    integer product; nothing is divided.
+    """
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    if power % 2:
+        return 0
+    half = power // 2
+    choose = [[binomial(2 * j, 2 * i) for i in range(j + 1)] for j in range(half + 1)]
+    series = [1] + [0] * half  # series[j] is the sum for the total 2j so far
+    for w in weights:
+        square = w * w
+        scaled = [square ** i for i in range(half + 1)]
+        series = [
+            sum(row[i] * scaled[i] * series[j - i] for i in range(j + 1))
+            for j, row in enumerate(choose)
+        ]
+    return series[half]
+
+
 def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
     """Evaluate the hypercube power sum through its multinomial expansion.
 
@@ -65,20 +95,13 @@ def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
     `power`, of  power!/(k1!...kn!) * a1**k1 * ... * an**kn.  Terms with an
     odd exponent anywhere cancel between mirrored sign vectors, which is
     why only even compositions appear; an odd `power` therefore gives 0.
+    The sum is even_multinomial_sum's convolution, so unlike the direct
+    walk this form has no size bound.
     """
     n = len(coeffs)
     if n < 1:
         raise ValueError("multinomial_power_sum() needs at least one coefficient")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    total = 0
-    for composition in even_compositions(power, n):
-        term = multinomial(power, composition)
-        for a, k in zip(coeffs, composition):
-            if k:
-                term *= a ** k
-        total += term
-    return (1 << n) * total
+    return (1 << n) * even_multinomial_sum(coeffs, power)
 
 
 def binomial_power_sum(n: int, power: int) -> int:

@@ -13,7 +13,11 @@ C(20, 8) subsets of K_{4,5} -- and the criteria share those tallies.
 import random
 from itertools import product
 
-from treecount.combinatorics import even_compositions, positive_compositions
+from treecount.combinatorics import (
+    even_compositions,
+    multinomial,
+    positive_compositions,
+)
 from treecount.formulas import (
     odd_spanning_trees_bipartite,
     odd_spanning_trees_bipartite_by_sum,
@@ -37,6 +41,18 @@ SEED = 1729
 
 def _all_odd(degrees):
     return all(d % 2 == 1 for d in degrees)
+
+
+def _enumerated_even_sum(weights, power):
+    """Reference: sum power!/prod(k!) * prod(w**k) over every even composition,
+    listed one tuple at a time."""
+    total = 0
+    for composition in even_compositions(power, len(weights)):
+        term = multinomial(power, composition)
+        for w, k in zip(weights, composition):
+            term *= w ** k
+        total += term
+    return total
 
 
 def _finish(criterion, failures):
@@ -128,26 +144,29 @@ def test_totals_match_both_oracles():
 
 
 def test_sign_identity_exhaustive_and_random():
-    """Direct hypercube sums equal their multinomial expansion: exhaustive
+    """Direct hypercube sums equal their multinomial expansion, and the
+    expansion equals its terms listed one composition at a time: exhaustive
     over coefficients in {-2..2} for n <= 5, m <= 6, plus 200 seeded trials
     with n <= 12."""
     failures = []
-    for n in range(1, 6):
-        for coeffs in product(range(-2, 3), repeat=n):
-            for power in range(7):
-                direct = hypercube_power_sum(coeffs, power)
-                expanded = multinomial_power_sum(coeffs, power)
-                if direct != expanded:
-                    failures.append((coeffs, power, direct, expanded))
     rng = random.Random(SEED)
+    exhaustive = [
+        (coeffs, power)
+        for n in range(1, 6)
+        for coeffs in product(range(-2, 3), repeat=n)
+        for power in range(7)
+    ]
+    seeded = []
     for _ in range(200):
         n = rng.randint(1, 12)
         coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
-        power = rng.randint(0, 6)
+        seeded.append((coeffs, rng.randint(0, 6)))
+    for coeffs, power in exhaustive + seeded:
         direct = hypercube_power_sum(coeffs, power)
         expanded = multinomial_power_sum(coeffs, power)
-        if direct != expanded:
-            failures.append(("random", coeffs, power, direct, expanded))
+        listed = (1 << len(coeffs)) * _enumerated_even_sum(coeffs, power)
+        if not direct == expanded == listed:
+            failures.append((coeffs, power, direct, expanded, listed))
     _finish("sign-hypercube identity, exhaustive small + 200 seeded trials", failures)
 
 
@@ -200,18 +219,38 @@ def test_checked_divisions_are_always_exact():
 
 
 def test_dual_forms_agree():
-    """Binomial-form and composition-sum-form counters agree: n <= 20 for
-    complete graphs, m,n <= 10 for bipartite ones."""
+    """Binomial-form and composition-sum-form counters agree: n <= 60 for
+    complete graphs, m,n <= 30 for bipartite ones."""
     failures = []
-    for n in range(2, 21):
+    for n in range(2, 61):
         closed = odd_spanning_trees_complete(n)
         summed = odd_spanning_trees_complete_by_sum(n)
         if closed != summed:
             failures.append(("complete", n, closed, summed))
-    for m in range(1, 11):
-        for n in range(1, 11):
+    for m in range(1, 31):
+        for n in range(1, 31):
             closed = odd_spanning_trees_bipartite(m, n)
             summed = odd_spanning_trees_bipartite_by_sum(m, n)
             if closed != summed:
                 failures.append(("bipartite", m, n, closed, summed))
     _finish("binomial and composition-sum forms agree", failures)
+
+
+def test_composition_sums_match_enumeration():
+    """The composition-sum counters equal their sums listed one even
+    composition at a time: n <= 14 complete, m,n <= 8 bipartite."""
+    failures = []
+    for n in range(2, 15):
+        summed = odd_spanning_trees_complete_by_sum(n)
+        listed = _enumerated_even_sum([1] * n, n - 2)
+        if summed != listed:
+            failures.append(("complete", n, summed, listed))
+    for m in range(1, 9):
+        for n in range(1, 9):
+            summed = odd_spanning_trees_bipartite_by_sum(m, n)
+            listed = _enumerated_even_sum([1] * m, n - 1) * _enumerated_even_sum(
+                [1] * n, m - 1
+            )
+            if summed != listed:
+                failures.append(("bipartite", m, n, summed, listed))
+    _finish("composition-sum forms vs listed compositions", failures)

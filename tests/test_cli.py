@@ -8,6 +8,7 @@ import pytest
 
 from treecount import formulas, verify
 from treecount.cli import main, render_table, table_rows
+from treecount.signsum import binomial_power_sum
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +268,14 @@ class TestSignsum:
             "multinomial",
         )
         assert (code, out) == (0, "20\n")
+
+    def test_multinomial_mode_past_hypercube_limit(self, capsys):
+        coeffs = ",".join(["1"] * 30)
+        code, out, _ = run_cli(
+            capsys, "signsum", "--coeffs", coeffs, "--power", "30", "--mode",
+            "multinomial",
+        )
+        assert (code, out) == (0, f"{binomial_power_sum(30, 30)}\n")
 
     def test_direct_mode_size_limit_is_usage_error(self, capsys):
         coeffs = ",".join(["1"] * 25)

@@ -52,7 +52,7 @@ class TestSpanningTreesBipartite:
             LabeledGraph.cycle(4)
         ) == 4
 
-    def test_against_bipartite_pruefer_oracle(self):
+    def test_against_bipartite_edge_subset_oracle(self):
         assert spanning_trees_bipartite(2, 3) == count_trees_bipartite_brute(2, 3) == 12
 
     @given(st.integers(1, 20), st.integers(1, 20))

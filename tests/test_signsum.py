@@ -10,6 +10,7 @@ from treecount.combinatorics import SizeLimitError
 from treecount.signsum import (
     HYPERCUBE_LIMIT,
     binomial_power_sum,
+    even_multinomial_sum,
     hypercube_power_sum,
     multinomial_power_sum,
 )
@@ -110,6 +111,30 @@ class TestMultinomialPowerSum:
         power = 2 * half_power + 1
         assert multinomial_power_sum(coeffs, power) == 0
         assert hypercube_power_sum(coeffs, power) == 0
+
+    def test_all_ones_past_hypercube_limit(self):
+        for n in range(HYPERCUBE_LIMIT + 1, 41):
+            for power in range(n + 1):
+                assert multinomial_power_sum([1] * n, power) == binomial_power_sum(
+                    n, power
+                )
+
+
+class TestEvenMultinomialSum:
+    def test_examples(self):
+        # power 2: (2,0) and (0,2) give 1 + 1; power 4: 1 + 4!/(2!2!) + 1
+        assert even_multinomial_sum([1, 1], 2) == 2
+        assert even_multinomial_sum([1, 1], 4) == 8
+        # 3**2 and 5**2 from the two single-part compositions
+        assert even_multinomial_sum([3, 5], 2) == 34
+
+    def test_empty_product(self):
+        assert even_multinomial_sum([], 0) == 1
+        assert even_multinomial_sum([], 2) == 0
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            even_multinomial_sum([1], -2)
 
 
 class TestBinomialPowerSum:
