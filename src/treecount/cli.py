@@ -5,6 +5,9 @@ success, 1 when a verification or cross-check finds a mismatch, 2 for
 invalid usage or parameters, and 3 for an internal error (a bug, such as a
 division that should have been exact).  Values go to stdout, one per line,
 as exact decimal strings of any length; diagnostics go to stderr.
+
+count, table and oracle take their families, sizes, closed forms and
+brute-force oracles from verify.FAMILIES, the table the verify sweep runs.
 """
 
 from __future__ import annotations
@@ -12,24 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from typing import Sequence
 
 from . import formulas, oracles, signsum, verify
-
-# The closed forms by family: complete families take the size n, bipartite
-# families the side sizes m, n.  count and table dispatch through these.
-_COMPLETE_TABLE_FNS = {
-    "complete": formulas.spanning_trees_complete,
-    "odd-complete": formulas.odd_spanning_trees_complete,
-}
-_BIPARTITE_TABLE_FNS = {
-    "bipartite": formulas.spanning_trees_bipartite,
-    "odd-bipartite": formulas.odd_spanning_trees_bipartite,
-}
-# complete, bipartite, odd-complete, odd-bipartite
-TABLE_FAMILIES = tuple(
-    family for pair in zip(_COMPLETE_TABLE_FNS, _BIPARTITE_TABLE_FNS) for family in pair
-)
 
 
 def _int_list(text: str) -> list[int]:
@@ -69,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="print one exact count")
     count.add_argument(
         "family",
-        choices=TABLE_FAMILIES + ("degrees",),
+        choices=(*verify.FAMILIES, "degrees"),
     )
     count.add_argument("--n", type=int)
     count.add_argument("--m", type=int)
@@ -89,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     table = sub.add_parser("table", help="emit a table of counts")
-    table.add_argument("--family", choices=TABLE_FAMILIES, required=True)
+    table.add_argument("--family", choices=tuple(verify.FAMILIES), required=True)
     table.add_argument("--from", dest="start", type=int, required=True)
     table.add_argument("--to", dest="stop", type=int, required=True)
     table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -123,14 +112,15 @@ def _require(value, flag: str):
     return value
 
 
+def _read_sizes(args, parameters: Sequence[str]) -> dict:
+    """The family's sizes from --<name>, checked in parameter order."""
+    return {name: _require(getattr(args, name), f"--{name}") for name in parameters}
+
+
 def _run_count(args) -> int:
-    family = args.family
-    if family in _COMPLETE_TABLE_FNS:
-        value = _COMPLETE_TABLE_FNS[family](_require(args.n, "--n"))
-    elif family in _BIPARTITE_TABLE_FNS:
-        value = _BIPARTITE_TABLE_FNS[family](
-            _require(args.m, "--m"), _require(args.n, "--n")
-        )
+    if args.family in verify.FAMILIES:
+        parameters, formula, _ = verify.FAMILIES[args.family]
+        value = formula(**_read_sizes(args, parameters))
     else:  # degrees
         has_complete = args.degrees is not None
         has_bipartite = args.a is not None or args.b is not None
@@ -167,15 +157,10 @@ def table_rows(family: str, start: int, stop: int) -> list[dict]:
     """Table rows for a family over [start, stop]; counts as decimal strings."""
     if start < 1 or start > stop:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
-    if family in _COMPLETE_TABLE_FNS:
-        fn = _COMPLETE_TABLE_FNS[family]
-        return [{"n": n, "count": str(fn(n))} for n in range(start, stop + 1)]
-    fn = _BIPARTITE_TABLE_FNS[family]
-    return [
-        {"m": m, "n": n, "count": str(fn(m, n))}
-        for m in range(start, stop + 1)
-        for n in range(start, stop + 1)
-    ]
+    parameters, formula, _ = verify.FAMILIES[family]
+    span = range(start, stop + 1)
+    cells = (dict(zip(parameters, sizes)) for sizes in product(span, repeat=len(parameters)))
+    return [{**cell, "count": str(formula(**cell))} for cell in cells]
 
 
 def render_table(rows: list[dict], fmt: str) -> str:
@@ -215,30 +200,31 @@ def _run_signsum(args) -> int:
 
 
 def _run_oracle(args) -> int:
-    if args.kind == "complete":
-        n = _require(args.n, "--n")
-        if args.odd:
-            value = oracles.count_trees_complete_brute(n, oracles.all_odd)
-        elif args.degrees is not None:
-            target = tuple(args.degrees)
-            value = oracles.count_trees_complete_brute(n, lambda d: d == target)
-        else:
-            value = oracles.count_trees_complete_brute(n)
-    elif args.kind == "bipartite":
-        m, n = _require(args.m, "--m"), _require(args.n, "--n")
-        if args.odd:
-            value = oracles.count_trees_bipartite_brute(
-                m, n, lambda a, b: oracles.all_odd(a + b)
-            )
-        elif args.a is not None or args.b is not None:
-            target = (tuple(_require(args.a, "--a")), tuple(_require(args.b, "--b")))
-            value = oracles.count_trees_bipartite_brute(
-                m, n, lambda a, b: (a, b) == target
-            )
-        else:
-            value = oracles.count_trees_bipartite_brute(m, n)
-    else:  # matrix-tree
-        value = oracles.matrix_tree_count(_graph_from_args(args))
+    if args.kind == "matrix-tree":
+        print(oracles.matrix_tree_count(_graph_from_args(args)))
+        return 0
+    parameters, _, _ = verify.FAMILIES[args.kind]
+    sizes = _read_sizes(args, parameters)
+    sides = args.a is not None or args.b is not None
+    if args.kind == "complete" and sides:
+        raise ValueError("oracle complete filters by --degrees, not --a/--b")
+    if args.kind == "bipartite" and args.degrees is not None:
+        raise ValueError("oracle bipartite filters by --a and --b, not --degrees")
+    if args.odd and (sides or args.degrees is not None):
+        raise ValueError("--odd cannot be combined with a degree filter")
+    if args.degrees is not None:
+        target = tuple(args.degrees)
+        value = oracles.count_trees_complete_brute(args.n, lambda d: d == target)
+    elif sides:
+        target = (tuple(_require(args.a, "--a")), tuple(_require(args.b, "--b")))
+        value = oracles.count_trees_bipartite_brute(
+            args.m, args.n, lambda a, b: (a, b) == target
+        )
+    else:
+        family = f"odd-{args.kind}" if args.odd else args.kind
+        _, _, family_oracles = verify.FAMILIES[family]
+        brute = next(o for kind, o in family_oracles.items() if kind.endswith("-brute"))
+        value = brute(**sizes)
     print(value)
     return 0
 

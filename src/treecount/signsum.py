@@ -25,7 +25,6 @@ from typing import Sequence
 from .combinatorics import SizeLimitError, binomial
 
 CoefficientVector = Sequence[int]
-SignVector = tuple[int, ...]  # entries in {-1, +1}
 
 # 2**24 evaluations is the desk-scale ceiling for direct enumeration.
 HYPERCUBE_LIMIT = 24

@@ -122,25 +122,23 @@ class _CaseSpec:
         )
 
 
-# family -> (formula, {oracle_kind: oracle}).  Complete families take n,
-# bipartite families m and n, as keywords.  The lambdas look every function
-# up when called, so a patched module attribute takes effect.
-_SWEEPS = {
+# family -> (parameters, formula, {oracle_kind: oracle}).  The parameters
+# are the side sizes, which sum to the vertex count; formula and oracles take
+# them as keywords.  count, table, oracle and verify all dispatch through this
+# table, and its order is the order of the CLI's family choices.  The lambdas
+# look every function up when called, so a patched module attribute takes
+# effect.
+FAMILIES = {
     "complete": (
+        ("n",),
         lambda n: spanning_trees_complete(n),
         {
             "pruefer-brute": lambda n: count_trees_complete_brute(n),
             "matrix-tree": lambda n: matrix_tree_count(LabeledGraph.complete(n)),
         },
     ),
-    "odd-complete": (
-        lambda n: odd_spanning_trees_complete(n),
-        {
-            "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
-            "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
-        },
-    ),
     "bipartite": (
+        ("m", "n"),
         lambda m, n: spanning_trees_bipartite(m, n),
         {
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n),
@@ -149,7 +147,16 @@ _SWEEPS = {
             ),
         },
     ),
+    "odd-complete": (
+        ("n",),
+        lambda n: odd_spanning_trees_complete(n),
+        {
+            "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
+            "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
+        },
+    ),
     "odd-bipartite": (
+        ("m", "n"),
         lambda m, n: odd_spanning_trees_bipartite(m, n),
         {
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(
@@ -161,20 +168,29 @@ _SWEEPS = {
 }
 
 
-def _family_specs(families: Sequence[str], sizes: list[dict]) -> Iterator[_CaseSpec]:
-    for family in families:
-        formula, oracles = _SWEEPS[family]
-        for params in sizes:
-            for kind, oracle in oracles.items():
-                # the sizes sum to the vertex count; composition sums need two
-                if kind == "composition-sum" and sum(params.values()) < 2:
-                    continue
-                yield _CaseSpec(
-                    family,
-                    params,
-                    kind,
-                    lambda f=formula, o=oracle, p=params: (f(**p), o(**p)),
-                )
+def _sizes(count: int, vertices: int) -> list[tuple[int, ...]]:
+    """Every tuple of `count` positive sizes whose sum is at most `vertices`."""
+    return [
+        sizes
+        for sizes in product(range(1, vertices + 1), repeat=count)
+        if sum(sizes) <= vertices
+    ]
+
+
+def _family_specs(family: str, vertices: int) -> Iterator[_CaseSpec]:
+    parameters, formula, oracles = FAMILIES[family]
+    for sizes in _sizes(len(parameters), vertices):
+        params = dict(zip(parameters, sizes))
+        for kind, oracle in oracles.items():
+            # composition sums need two vertices
+            if kind == "composition-sum" and sum(sizes) < 2:
+                continue
+            yield _CaseSpec(
+                family,
+                params,
+                kind,
+                lambda f=formula, o=oracle, p=params: (f(**p), o(**p)),
+            )
 
 
 def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]:
@@ -192,21 +208,20 @@ def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]
                 spanning_trees_complete(n),
             ),
         )
-    for m in range(1, bipartite_max):
-        for n in range(1, bipartite_max - m + 1):
-            yield _CaseSpec(
-                "degrees-bipartite",
-                {"m": m, "n": n},
-                "degree-sum-closure",
-                lambda m=m, n=n: (
-                    sum(
-                        trees_with_degrees_bipartite(a, b)
-                        for a in positive_compositions(m + n - 1, m)
-                        for b in positive_compositions(m + n - 1, n)
-                    ),
-                    spanning_trees_bipartite(m, n),
+    for m, n in _sizes(2, bipartite_max):
+        yield _CaseSpec(
+            "degrees-bipartite",
+            {"m": m, "n": n},
+            "degree-sum-closure",
+            lambda m=m, n=n: (
+                sum(
+                    trees_with_degrees_bipartite(a, b)
+                    for a in positive_compositions(m + n - 1, m)
+                    for b in positive_compositions(m + n - 1, n)
                 ),
-            )
+                spanning_trees_bipartite(m, n),
+            ),
+        )
     # odd-restricted closure against the odd counter
     for n in range(2, 11, 2):
         yield _CaseSpec(
@@ -233,21 +248,20 @@ def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]
                     count_trees_complete_brute(n, lambda d: d == degrees),
                 ),
             )
-    for m in range(1, min(bipartite_max, 6)):
-        for n in range(1, min(bipartite_max, 6) - m + 1):
-            for side_a in positive_compositions(m + n - 1, m):
-                for side_b in positive_compositions(m + n - 1, n):
-                    yield _CaseSpec(
-                        "degrees-bipartite",
-                        {"m": m, "n": n, "a": list(side_a), "b": list(side_b)},
-                        "edge-subset-brute",
-                        lambda m=m, n=n, side_a=side_a, side_b=side_b: (
-                            trees_with_degrees_bipartite(side_a, side_b),
-                            count_trees_bipartite_brute(
-                                m, n, lambda a, b: (a, b) == (side_a, side_b)
-                            ),
+    for m, n in _sizes(2, min(bipartite_max, 6)):
+        for side_a in positive_compositions(m + n - 1, m):
+            for side_b in positive_compositions(m + n - 1, n):
+                yield _CaseSpec(
+                    "degrees-bipartite",
+                    {"m": m, "n": n, "a": list(side_a), "b": list(side_b)},
+                    "edge-subset-brute",
+                    lambda m=m, n=n, side_a=side_a, side_b=side_b: (
+                        trees_with_degrees_bipartite(side_a, side_b),
+                        count_trees_bipartite_brute(
+                            m, n, lambda a, b: (a, b) == (side_a, side_b)
                         ),
-                    )
+                    ),
+                )
 
 
 def _signsum_specs(seed: int) -> Iterator[_CaseSpec]:
@@ -276,19 +290,9 @@ def _signsum_specs(seed: int) -> Iterator[_CaseSpec]:
         yield spec_for(coeffs, power)
 
 
-def _orderable(value):
-    if isinstance(value, int):
-        return (0, (value,))
-    if isinstance(value, (list, tuple)):
-        return (1, tuple(value))
-    return (2, (str(value),))
-
-
 def _sort_key(spec: _CaseSpec):
-    params = tuple(
-        (key, _orderable(value)) for key, value in sorted(spec.parameters.items())
-    )
-    return (spec.family, params, spec.oracle_kind)
+    # each parameter name holds values of one type, so they compare directly
+    return (spec.family, sorted(spec.parameters.items()), spec.oracle_kind)
 
 
 def build_specs(
@@ -310,17 +314,12 @@ def build_specs(
     unknown = set(scopes) - set(ALL_SCOPES)
     if unknown:
         raise ValueError(f"unknown verification scope(s): {sorted(unknown)}")
+    bounds = {"complete": complete_max, "bipartite": bipartite_max}
     specs: list[_CaseSpec] = []
-    if "complete" in scopes:
-        sizes = [{"n": n} for n in range(1, complete_max + 1)]
-        specs.extend(_family_specs(("complete", "odd-complete"), sizes))
-    if "bipartite" in scopes:
-        sizes = [
-            {"m": m, "n": n}
-            for m in range(1, bipartite_max)
-            for n in range(1, bipartite_max - m + 1)
-        ]
-        specs.extend(_family_specs(("bipartite", "odd-bipartite"), sizes))
+    for family in FAMILIES:
+        scope = family.removeprefix("odd-")
+        if scope in scopes:
+            specs.extend(_family_specs(family, bounds[scope]))
     if "degrees" in scopes:
         specs.extend(_degrees_specs(complete_max, bipartite_max))
     if "signsum" in scopes:

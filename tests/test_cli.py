@@ -310,6 +310,25 @@ class TestOracle:
         )
         assert (code, out) == (0, "2\n")
 
+    def test_bipartite_accept_all(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "bipartite", "--m", "2", "--n", "3")
+        assert (code, out) == (0, "12\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("complete", "--n", "6", "--odd", "--degrees", "2,2,1,1"),
+            ("bipartite", "--m", "2", "--n", "3", "--odd", "--a", "2,2", "--b", "2,1,1"),
+            ("bipartite", "--m", "2", "--n", "3", "--degrees", "9,9"),
+            ("complete", "--n", "4", "--a", "2,2", "--b", "1,1"),
+        ],
+        ids=["odd-with-degrees", "odd-with-sides", "degrees-on-bipartite", "sides-on-complete"],
+    )
+    def test_filter_that_would_be_ignored_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_matrix_tree_cycle(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "matrix-tree", "--cycle", "4")
         assert (code, out) == (0, "4\n")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecount.cli import _BIPARTITE_TABLE_FNS, _COMPLETE_TABLE_FNS
 from treecount.combinatorics import positive_compositions
 from treecount.formulas import (
     odd_spanning_trees_bipartite,
@@ -22,6 +21,7 @@ from treecount.oracles import (
     count_trees_complete_brute,
     matrix_tree_count,
 )
+from treecount.verify import FAMILIES
 
 
 def all_odd(degrees):
@@ -230,12 +230,24 @@ class TestClosureSums:
 
 
 class TestFamilyDispatch:
-    """The family tables that count and table dispatch through."""
+    """The family table that count, table, oracle and verify dispatch through."""
+
+    @staticmethod
+    def formula(family):
+        return FAMILIES[family][1]
 
     def test_tree_count(self):
-        assert _COMPLETE_TABLE_FNS["complete"](4) == 16
-        assert _BIPARTITE_TABLE_FNS["bipartite"](2, 3) == 12
+        assert self.formula("complete")(n=4) == 16
+        assert self.formula("bipartite")(m=2, n=3) == 12
 
     def test_odd_tree_count(self):
-        assert _COMPLETE_TABLE_FNS["odd-complete"](6) == 96
-        assert _BIPARTITE_TABLE_FNS["odd-bipartite"](3, 3) == 9
+        assert self.formula("odd-complete")(n=6) == 96
+        assert self.formula("odd-bipartite")(m=3, n=3) == 9
+
+    def test_families_in_cli_order_with_their_sizes(self):
+        assert [(family, parameters) for family, (parameters, _, _) in FAMILIES.items()] == [
+            ("complete", ("n",)),
+            ("bipartite", ("m", "n")),
+            ("odd-complete", ("n",)),
+            ("odd-bipartite", ("m", "n")),
+        ]
