@@ -31,7 +31,6 @@ from .oracles import (
     Tree,
     count_trees_bipartite_brute,
     count_trees_complete_brute,
-    degrees_from_pruefer,
     matrix_tree_count,
     pruefer_decode,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "binomial_power_sum",
     "count_trees_bipartite_brute",
     "count_trees_complete_brute",
-    "degrees_from_pruefer",
     "even_compositions",
     "even_multinomial_sum",
     "exact_div",

@@ -8,6 +8,9 @@ as exact decimal strings of any length; diagnostics go to stderr.
 
 count, table and oracle take their families, sizes, closed forms and
 brute-force oracles from verify.FAMILIES, the table the verify sweep runs.
+
+count and oracle read each option their query needs and reject any other
+given option as a usage error: no option is silently ignored.
 """
 
 from __future__ import annotations
@@ -92,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("kind", choices=("complete", "bipartite", "matrix-tree"))
     oracle.add_argument("--n", type=int)
     oracle.add_argument("--m", type=int)
-    oracle.add_argument("--odd", action="store_true", help="keep only all-odd degree profiles")
+    oracle.add_argument(
+        "--odd", action="store_true", default=None, help="keep only all-odd degree profiles"
+    )
     oracle.add_argument("--degrees", type=_int_list, metavar="D1,D2,...")
     oracle.add_argument("--a", type=_int_list, metavar="A1,A2,...")
     oracle.add_argument("--b", type=_int_list, metavar="B1,B2,...")
@@ -106,34 +111,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required option {flag}")
-    return value
-
-
-def _read_sizes(args, parameters: Sequence[str]) -> dict:
-    """The family's sizes from --<name>, checked in parameter order."""
-    return {name: _require(getattr(args, name), f"--{name}") for name in parameters}
+def _read(args, query: str, names: Sequence[str]) -> list:
+    """The options `query` reads, each required; any other given (not None) is an error."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"missing required option --{name}")
+    unread = [
+        f"--{name}"
+        for name, value in vars(args).items()
+        if value is not None and name not in (*names, "command", "family", "kind")
+    ]
+    if unread:
+        raise ValueError(f"{query} does not take {', '.join(unread)}")
+    return [getattr(args, name) for name in names]
 
 
 def _run_count(args) -> int:
     if args.family in verify.FAMILIES:
         parameters, formula, _ = verify.FAMILIES[args.family]
-        value = formula(**_read_sizes(args, parameters))
-    else:  # degrees
-        has_complete = args.degrees is not None
-        has_bipartite = args.a is not None or args.b is not None
-        if has_complete == has_bipartite:
-            raise ValueError(
-                "count degrees needs either --degrees (complete) or both --a and --b (bipartite)"
-            )
-        if has_complete:
-            value = formulas.trees_with_degrees_complete(args.degrees)
-        else:
-            value = formulas.trees_with_degrees_bipartite(
-                _require(args.a, "--a"), _require(args.b, "--b")
-            )
+        value = formula(*_read(args, f"count {args.family}", parameters))
+    elif args.degrees is not None:
+        degrees = _read(args, "count degrees --degrees", ("degrees",))
+        value = formulas.trees_with_degrees_complete(*degrees)
+    elif args.a is not None or args.b is not None:
+        sides = _read(args, "count degrees --a --b", ("a", "b"))
+        value = formulas.trees_with_degrees_bipartite(*sides)
+    else:
+        raise ValueError(
+            "count degrees needs either --degrees (complete) or both --a and --b (bipartite)"
+        )
     print(value)
     return 0
 
@@ -201,57 +207,51 @@ def _run_signsum(args) -> int:
 
 def _run_oracle(args) -> int:
     if args.kind == "matrix-tree":
-        print(oracles.matrix_tree_count(_graph_from_args(args)))
+        print(oracles.matrix_tree_count(_graph(args)))
         return 0
     parameters, _, _ = verify.FAMILIES[args.kind]
-    sizes = _read_sizes(args, parameters)
-    sides = args.a is not None or args.b is not None
-    if args.kind == "complete" and sides:
-        raise ValueError("oracle complete filters by --degrees, not --a/--b")
-    if args.kind == "bipartite" and args.degrees is not None:
-        raise ValueError("oracle bipartite filters by --a and --b, not --degrees")
-    if args.odd and (sides or args.degrees is not None):
-        raise ValueError("--odd cannot be combined with a degree filter")
-    if args.degrees is not None:
-        target = tuple(args.degrees)
-        value = oracles.count_trees_complete_brute(args.n, lambda d: d == target)
-    elif sides:
-        target = (tuple(_require(args.a, "--a")), tuple(_require(args.b, "--b")))
-        value = oracles.count_trees_bipartite_brute(
-            args.m, args.n, lambda a, b: (a, b) == target
-        )
+    # at most one filter: --odd, or the degree profile of the graph
+    if args.kind == "complete":
+        profile, brute = ("degrees",), oracles.count_trees_complete_brute
     else:
-        family = f"odd-{args.kind}" if args.odd else args.kind
-        _, _, family_oracles = verify.FAMILIES[family]
+        profile, brute = ("a", "b"), oracles.count_trees_bipartite_brute
+    has_profile = any(getattr(args, name) is not None for name in profile)
+    filter_ = ("odd",) if args.odd else profile if has_profile else ()
+    query = " ".join(["oracle", args.kind, *(f"--{name}" for name in filter_)])
+    sizes = _read(args, query, (*parameters, *filter_))[: len(parameters)]
+    if filter_ == profile:
+        target = tuple(tuple(getattr(args, name)) for name in profile)
+        lengths = [len(side) for side in target]
+        if lengths != sizes:
+            raise ValueError(f"{query} needs {sizes} degrees, one per vertex, got {lengths}")
+        value = brute(*sizes, lambda *sides: sides == target)
+    else:
+        _, _, family_oracles = verify.FAMILIES[f"odd-{args.kind}" if args.odd else args.kind]
         brute = next(o for kind, o in family_oracles.items() if kind.endswith("-brute"))
-        value = brute(**sizes)
+        value = brute(*sizes)
     print(value)
     return 0
 
 
-def _graph_from_args(args) -> oracles.LabeledGraph:
-    sources = [
-        args.complete is not None,
-        args.bipartite is not None,
-        args.path is not None,
-        args.cycle is not None,
-        args.edges is not None,
-    ]
-    if sum(sources) != 1:
+# matrix-tree graph source -> (the options it reads, graph builder)
+_GRAPH_SOURCES = {
+    "complete": (("complete",), oracles.LabeledGraph.complete),
+    "bipartite": (("bipartite",), lambda sides: oracles.LabeledGraph.complete_bipartite(*sides)),
+    "path": (("path",), oracles.LabeledGraph.path),
+    "cycle": (("cycle",), oracles.LabeledGraph.cycle),
+    "edges": (("edges", "vertices"), lambda edges, n: oracles.LabeledGraph(n, edges)),
+}
+
+
+def _graph(args) -> oracles.LabeledGraph:
+    sources = [source for source in _GRAPH_SOURCES if getattr(args, source) is not None]
+    if len(sources) != 1:
         raise ValueError(
             "matrix-tree needs exactly one of --complete, --bipartite, --path,"
             " --cycle, or --edges"
         )
-    if args.complete is not None:
-        return oracles.LabeledGraph.complete(args.complete)
-    if args.bipartite is not None:
-        return oracles.LabeledGraph.complete_bipartite(*args.bipartite)
-    if args.path is not None:
-        return oracles.LabeledGraph.path(args.path)
-    if args.cycle is not None:
-        return oracles.LabeledGraph.cycle(args.cycle)
-    vertices = _require(args.vertices, "--vertices")
-    return oracles.LabeledGraph(vertices, args.edges)
+    names, build = _GRAPH_SOURCES[sources[0]]
+    return build(*_read(args, f"oracle matrix-tree --{sources[0]}", names))
 
 
 _HANDLERS = {

@@ -2,7 +2,9 @@
 
 Three unrelated oracles, so a bug in one cannot hide in another:
 
-* exhaustive Prüfer enumeration for K_n -- decode every sequence, filter, count;
+* exhaustive Prüfer enumeration for K_n -- tally the degree profile of every
+  sequence (vertex v has degree 1 plus its number of occurrences; no tree is
+  decoded), filter, count;
 * edge-subset enumeration for K_{m,n} -- try every (m+n-1)-subset of the
   edges, keep the trees, filter, count;
 * the Matrix-Tree determinant of the reduced Laplacian, computed with
@@ -23,7 +25,7 @@ from .combinatorics import SizeLimitError
 
 PrueferSequence = Sequence[int]
 
-# The desk-scale ceiling: 9**7 (~4.8M) decodes for K_9, C(20, 8) subsets for K_{4,5}.
+# The desk-scale ceiling: 9**7 (~4.8M) sequences tallied for K_9, C(20, 8) subsets for K_{4,5}.
 BRUTE_FORCE_LIMIT = 9
 
 DegreePredicate = Callable[[tuple[int, ...]], bool]
@@ -105,6 +107,8 @@ class LabeledGraph:
 
     @classmethod
     def complete_bipartite(cls, m: int, n: int) -> "LabeledGraph":
+        if m < 1 or n < 1:
+            raise ValueError(f"side sizes must be >= 1, got m={m}, n={n}")
         return cls(
             m + n,
             ((u, v) for u in range(1, m + 1) for v in range(m + 1, m + n + 1)),
@@ -121,16 +125,6 @@ class LabeledGraph:
         return cls(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
-def _check_sequence(seq: PrueferSequence, n: int) -> None:
-    if n < 2:
-        raise ValueError(f"decoding requires n >= 2, got {n}")
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length {len(seq)} != n - 2 = {n - 2}")
-    for entry in seq:
-        if not 1 <= entry <= n:
-            raise ValueError(f"sequence entry {entry} out of range 1..{n}")
-
-
 def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
     """Decode a Prüfer sequence into its unique labeled tree on 1..n.
 
@@ -140,7 +134,13 @@ def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
     pointer becomes the next leaf immediately, anything else resumes the
     scan.  Vertex n is never consumed as a leaf, so it ends the final edge.
     """
-    _check_sequence(seq, n)
+    if n < 2:
+        raise ValueError(f"decoding requires n >= 2, got {n}")
+    if len(seq) != n - 2:
+        raise ValueError(f"sequence length {len(seq)} != n - 2 = {n - 2}")
+    for entry in seq:
+        if not 1 <= entry <= n:
+            raise ValueError(f"sequence entry {entry} out of range 1..{n}")
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
@@ -161,19 +161,6 @@ def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
             leaf = ptr
     edges.append((leaf, n))
     return Tree(n, tuple(edges))
-
-
-def degrees_from_pruefer(seq: PrueferSequence, n: int) -> tuple[int, ...]:
-    """Degree sequence of the decoded tree, without building it.
-
-    The degree of vertex v is 1 plus the number of times v occurs in the
-    sequence.
-    """
-    _check_sequence(seq, n)
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    return tuple(degree[1:])
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCount:
     def test_odd_complete(self, capsys):
         code, out, _ = run_cli(capsys, "count", "odd-complete", "--n", "6")
@@ -58,10 +63,46 @@ class TestCount:
     def test_degrees_needs_exactly_one_flavor(self, capsys):
         code, _, err = run_cli(capsys, "count", "degrees")
         assert code == 2
+        assert err == (
+            "error: count degrees needs either --degrees (complete)"
+            " or both --a and --b (bipartite)\n"
+        )
         code, _, err = run_cli(
             capsys, "count", "degrees", "--degrees", "1,1", "--a", "1", "--b", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("complete", "--n", "4", "--m", "9"),
+            ("odd-complete", "--n", "6", "--degrees", "2,2"),
+            ("degrees", "--degrees", "2,2,1,1", "--n", "9"),
+            ("degrees", "--a", "2,2", "--b", "2,1,1", "--m", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_option_the_query_does_not_read_is_usage_error(self, capsys, argv):
+        assert_usage_error(*run_cli(capsys, "count", *argv))
+
+    @pytest.mark.parametrize(
+        "family, name",
+        sorted(
+            {
+                (family, name)
+                for family, (parameters, _, _) in verify.FAMILIES.items()
+                for other, _, _ in verify.FAMILIES.values()
+                for name in other
+                if name not in parameters
+            }
+        ),
+    )
+    def test_size_of_another_family_is_usage_error(self, capsys, family, name):
+        parameters, _, _ = verify.FAMILIES[family]
+        sizes = [arg for size in parameters for arg in (f"--{size}", "3")]
+        code, out, err = run_cli(capsys, "count", family, *sizes, f"--{name}", "3")
+        assert_usage_error(code, out, err)
+        assert err == f"error: count {family} does not take --{name}\n"
 
     def test_huge_value_renders_as_plain_decimal(self, capsys):
         code, out, _ = run_cli(capsys, "count", "complete", "--n", "120")
@@ -321,13 +362,47 @@ class TestOracle:
             ("bipartite", "--m", "2", "--n", "3", "--odd", "--a", "2,2", "--b", "2,1,1"),
             ("bipartite", "--m", "2", "--n", "3", "--degrees", "9,9"),
             ("complete", "--n", "4", "--a", "2,2", "--b", "1,1"),
+            ("complete", "--n", "4", "--cycle", "5"),
+            ("matrix-tree", "--cycle", "4", "--odd"),
+            ("matrix-tree", "--cycle", "4", "--vertices", "9"),
+            ("bipartite", "--m", "2", "--n", "2", "--bipartite", "3,3"),
         ],
-        ids=["odd-with-degrees", "odd-with-sides", "degrees-on-bipartite", "sides-on-complete"],
+        ids=[
+            "odd-with-degrees",
+            "odd-with-sides",
+            "degrees-on-bipartite",
+            "sides-on-complete",
+            "source-on-complete",
+            "odd-on-matrix-tree",
+            "vertices-with-cycle",
+            "source-on-bipartite",
+        ],
     )
     def test_filter_that_would_be_ignored_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "oracle", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("complete", "--n", "5", "--degrees", "2,2,1,1"),
+            ("complete", "--n", "3", "--degrees", "2,1,1,0"),
+            ("bipartite", "--m", "2", "--n", "3", "--a", "2,2,1", "--b", "2,1,1"),
+            ("bipartite", "--m", "2", "--n", "3", "--a", "2,2", "--b", "2,1"),
+        ],
+        ids=" ".join,
+    )
+    def test_profile_of_wrong_length_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert_usage_error(code, out, err)
+        assert "one per vertex" in err
+
+    @pytest.mark.parametrize("sides", ["3,-2", "0,3"])
+    def test_matrix_tree_bipartite_needs_both_sides(self, capsys, sides):
+        code, out, err = run_cli(capsys, "oracle", "matrix-tree", "--bipartite", sides)
+        assert_usage_error(code, out, err)
+        assert "side sizes must be >= 1" in err
 
     def test_matrix_tree_cycle(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "matrix-tree", "--cycle", "4")

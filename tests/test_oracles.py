@@ -1,6 +1,7 @@
 """Tests for the brute-force oracles, including oracle-vs-oracle agreement."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -12,7 +13,6 @@ from treecount.oracles import (
     Tree,
     count_trees_bipartite_brute,
     count_trees_complete_brute,
-    degrees_from_pruefer,
     matrix_tree_count,
     pruefer_decode,
 )
@@ -120,15 +120,19 @@ class TestPrueferDecode:
 
 
 class TestDegreesFromPruefer:
-    def test_occurrence_plus_one(self):
-        assert degrees_from_pruefer([1, 1], 4) == (3, 1, 1, 1)
-        assert degrees_from_pruefer([], 2) == (1, 1)
-        assert degrees_from_pruefer([3, 3, 4], 5) == (1, 1, 3, 2, 1)
+    """The Prüfer degree lemma the complete-graph tally rests on: in the tree a
+    sequence decodes to, vertex v has degree 1 plus its occurrences in the
+    sequence.  The tally never decodes; this checks it against decoding."""
 
     def test_matches_decoded_tree_exhaustively(self):
         for n in range(2, 7):
-            for seq in product(range(1, n + 1), repeat=n - 2):
-                assert degrees_from_pruefer(seq, n) == pruefer_decode(seq, n).degrees()
+            labels = range(1, n + 1)
+            decoded = Counter(
+                pruefer_decode(seq, n).degrees() for seq in product(labels, repeat=n - 2)
+            )
+            for profile in positive_compositions(2 * n - 2, n):
+                count = count_trees_complete_brute(n, lambda d: d == profile)
+                assert count == decoded[profile], (n, profile)
 
 
 class TestTreeValidation:
@@ -167,6 +171,11 @@ class TestLabeledGraph:
     def test_duplicates_collapse(self):
         g = LabeledGraph(3, [(1, 2), (2, 1), (1, 2)])
         assert g.edges == frozenset({(1, 2)})
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (3, -2), (-1, -1)])
+    def test_complete_bipartite_needs_both_sides(self, m, n):
+        with pytest.raises(ValueError, match="side sizes must be >= 1"):
+            LabeledGraph.complete_bipartite(m, n)
 
     def test_builders(self):
         assert len(LabeledGraph.complete(5).edges) == 10
