@@ -8,10 +8,8 @@ sweeps, and table generation.
 from .combinatorics import (
     InexactDivisionError,
     SizeLimitError,
-    binomial,
     even_compositions,
     exact_div,
-    factorial,
     multinomial,
     positive_compositions,
 )
@@ -51,14 +49,12 @@ __all__ = [
     "LabeledGraph",
     "SizeLimitError",
     "Tree",
-    "binomial",
     "binomial_power_sum",
     "count_trees_bipartite_brute",
     "count_trees_complete_brute",
     "even_compositions",
     "even_multinomial_sum",
     "exact_div",
-    "factorial",
     "hypercube_power_sum",
     "matrix_tree_count",
     "multinomial",

@@ -2,26 +2,33 @@
 
 Subcommands: count, verify, table, signsum, oracle.  Exit status is 0 on
 success, 1 when a verification or cross-check finds a mismatch, 2 for
-invalid usage or parameters, and 3 for an internal error (a bug, such as a
-division that should have been exact).  Values go to stdout, one per line,
-as exact decimal strings of any length; diagnostics go to stderr.
+invalid usage or parameters, 3 for an internal error (a bug, such as a
+division that should have been exact), and 141 (128 + SIGPIPE) when the
+reader closes stdout early, as `| head` does.  Values go to stdout, one per
+line, as exact decimal strings of any length; diagnostics go to stderr.
 
 count, table and oracle take their families, sizes, closed forms and
 brute-force oracles from verify.FAMILIES, the table the verify sweep runs.
 
 count and oracle read each option their query needs and reject any other
-given option as a usage error: no option is silently ignored.
+given option as a usage error: no option is silently ignored.  oracle
+matrix-tree takes graphs of at most MATRIX_TREE_LIMIT vertices.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import product
 from typing import Sequence
 
 from . import formulas, oracles, signsum, verify
+from .combinatorics import SizeLimitError
+
+# Dense Bareiss elimination is cubic in the vertex count: K_100 takes about 0.25 s.
+MATRIX_TREE_LIMIT = 100
 
 
 def _int_list(text: str) -> list[int]:
@@ -233,13 +240,13 @@ def _run_oracle(args) -> int:
     return 0
 
 
-# matrix-tree graph source -> (the options it reads, graph builder)
+# matrix-tree graph source -> (the options it reads, its vertex count, graph builder)
 _GRAPH_SOURCES = {
-    "complete": (("complete",), oracles.LabeledGraph.complete),
-    "bipartite": (("bipartite",), lambda sides: oracles.LabeledGraph.complete_bipartite(*sides)),
-    "path": (("path",), oracles.LabeledGraph.path),
-    "cycle": (("cycle",), oracles.LabeledGraph.cycle),
-    "edges": (("edges", "vertices"), lambda edges, n: oracles.LabeledGraph(n, edges)),
+    "complete": (("complete",), lambda n: n, oracles.LabeledGraph.complete),
+    "bipartite": (("bipartite",), sum, lambda s: oracles.LabeledGraph.complete_bipartite(*s)),
+    "path": (("path",), lambda n: n, oracles.LabeledGraph.path),
+    "cycle": (("cycle",), lambda n: n, oracles.LabeledGraph.cycle),
+    "edges": (("edges", "vertices"), lambda _, n: n, lambda e, n: oracles.LabeledGraph(n, e)),
 }
 
 
@@ -250,8 +257,12 @@ def _graph(args) -> oracles.LabeledGraph:
             "matrix-tree needs exactly one of --complete, --bipartite, --path,"
             " --cycle, or --edges"
         )
-    names, build = _GRAPH_SOURCES[sources[0]]
-    return build(*_read(args, f"oracle matrix-tree --{sources[0]}", names))
+    names, vertex_count, build = _GRAPH_SOURCES[sources[0]]
+    values = _read(args, f"oracle matrix-tree --{sources[0]}", names)
+    vertices = vertex_count(*values)
+    if vertices > MATRIX_TREE_LIMIT:  # checked before any edge is generated
+        raise SizeLimitError(f"matrix-tree is bounded at {MATRIX_TREE_LIMIT} vertices, got {vertices}")
+    return build(*values)
 
 
 _HANDLERS = {
@@ -273,6 +284,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # Send the rest, and the flush at exit, to nowhere instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status of a pipeline writer cut short
     except Exception as exc:  # a bug, never a mismatch (1) or bad usage (2)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

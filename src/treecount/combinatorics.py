@@ -1,4 +1,4 @@
-"""Exact integer primitives: factorials, binomials, and composition streams.
+"""Exact integer primitives: multinomials, checked division, and composition streams.
 
 Everything here is a pure function returning Python ints, so results are
 exact at any magnitude and serialize losslessly via str()/int().
@@ -20,22 +20,6 @@ class InexactDivisionError(ArithmeticError):
 
 class SizeLimitError(ValueError):
     """An enumeration was requested beyond its supported size bound."""
-
-
-def factorial(k: int) -> int:
-    """Return k! exactly; a negative k raises ValueError."""
-    if k < 0:
-        raise ValueError(f"factorial() requires k >= 0, got {k}")
-    return math.factorial(k)
-
-
-def binomial(n: int, k: int) -> int:
-    """Return C(n, k), with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial() requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:
@@ -74,23 +58,12 @@ def even_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"even_compositions() requires parts >= 1, got {parts}")
     if total < 0 or total % 2:
         return
-    current = [0] * parts
-    current[0] = total
-    last = parts - 1
-    while True:
-        yield tuple(current)
-        j = last - 1
-        while j >= 0 and current[j] == 0:
-            j -= 1
-        if j < 0:
-            return
-        # Move 2 from the rightmost mobile entry; everything to its right
-        # restarts with the freed mass (tail is all zero except the end).
-        tail = current[last]
-        current[j] -= 2
-        current[j + 1] = tail + 2
-        for i in range(j + 2, parts):
-            current[i] = 0
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -2):
+        for rest in even_compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def positive_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

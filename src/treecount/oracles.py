@@ -128,11 +128,10 @@ class LabeledGraph:
 def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
     """Decode a Prüfer sequence into its unique labeled tree on 1..n.
 
-    Classical bijection: repeatedly attach the smallest-labeled current
-    leaf to the head of the remaining sequence.  The pointer trick below
-    keeps that linear: a vertex whose degree drops to 1 below the scan
-    pointer becomes the next leaf immediately, anything else resumes the
-    scan.  Vertex n is never consumed as a leaf, so it ends the final edge.
+    Classical bijection: for each entry in turn, attach the smallest-labeled
+    current leaf (a vertex of degree 1) to it and remove that leaf.  Vertex n
+    is never the smallest leaf, so the last two vertices left are the
+    smallest remaining leaf and n, which form the final edge.
     """
     if n < 2:
         raise ValueError(f"decoding requires n >= 2, got {n}")
@@ -144,22 +143,13 @@ def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
-    ptr = 1
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
     edges = []
     for v in seq:
+        leaf = degree.index(1, 1)
         edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] = 0
         degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n))
+    edges.append((degree.index(1, 1), n))
     return Tree(n, tuple(edges))
 
 
@@ -285,12 +275,11 @@ def matrix_tree_count(graph: LabeledGraph) -> int:
     """Count spanning trees of any simple graph via the Matrix-Tree theorem.
 
     Builds the Laplacian with the row and column of vertex 1 deleted and
-    returns its determinant, computed exactly.  A single vertex has one
-    spanning tree; a disconnected graph correctly yields 0.
+    returns its determinant, computed exactly.  A single vertex leaves an
+    empty matrix, whose determinant 1 counts its one spanning tree; a
+    disconnected graph correctly yields 0.
     """
     n = graph.vertex_count
-    if n == 1:
-        return 1
     # Reduced Laplacian over vertices 2..n.
     lap = [[0] * (n - 1) for _ in range(n - 1)]
     for u, v in graph.edges:

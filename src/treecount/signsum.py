@@ -20,9 +20,10 @@ listing them, so its cost grows with n * power**2, not with their number.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .combinatorics import SizeLimitError, binomial
+from .combinatorics import SizeLimitError
 
 CoefficientVector = Sequence[int]
 
@@ -75,7 +76,7 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     if power % 2:
         return 0
     half = power // 2
-    choose = [[binomial(2 * j, 2 * i) for i in range(j + 1)] for j in range(half + 1)]
+    choose = [[math.comb(2 * j, 2 * i) for i in range(j + 1)] for j in range(half + 1)]
     series = [1] + [0] * half  # series[j] is the sum for the total 2j so far
     for w in weights:
         square = w * w
@@ -114,4 +115,4 @@ def binomial_power_sum(n: int, power: int) -> int:
         raise ValueError(f"binomial_power_sum() requires n >= 1, got {n}")
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
-    return sum(binomial(n, k) * (2 * k - n) ** power for k in range(n + 1))
+    return sum(math.comb(n, k) * (2 * k - n) ** power for k in range(n + 1))

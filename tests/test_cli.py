@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from treecount import formulas, verify
+from treecount import formulas, signsum, verify
 from treecount.cli import main, render_table, table_rows
 from treecount.signsum import binomial_power_sum
 
@@ -318,6 +318,18 @@ class TestSignsum:
         )
         assert (code, out) == (0, f"{binomial_power_sum(30, 30)}\n")
 
+    def test_both_mode_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(signsum, "multinomial_power_sum", lambda coeffs, power: 0)
+        code, out, _ = run_cli(
+            capsys, "signsum", "--coeffs", "1,1", "--power", "2", "--mode", "both"
+        )
+        assert (code, out) == (1, "8\n0\nmismatch\n")
+
+    def test_empty_coeffs_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "signsum", "--coeffs", "", "--power", "2")
+        assert_usage_error(code, out, err)
+        assert "--coeffs must not be empty" in err
+
     def test_direct_mode_size_limit_is_usage_error(self, capsys):
         coeffs = ",".join(["1"] * 25)
         code, _, err = run_cli(
@@ -414,6 +426,26 @@ class TestOracle:
         )
         assert (code, out) == (0, "1\n")
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ("--complete", "101"),
+            ("--bipartite", "50,51"),
+            ("--path", "101"),
+            ("--cycle", "101"),
+            ("--edges", "1-2", "--vertices", "1000000000"),
+        ],
+        ids=" ".join,
+    )
+    def test_matrix_tree_above_vertex_bound_is_usage_error(self, capsys, source):
+        code, out, err = run_cli(capsys, "oracle", "matrix-tree", *source)
+        assert_usage_error(code, out, err)
+        assert "matrix-tree is bounded at 100 vertices" in err
+
+    def test_matrix_tree_at_vertex_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "matrix-tree", "--path", "100")
+        assert (code, out) == (0, "1\n")
+
     def test_matrix_tree_needs_one_source(self, capsys):
         code, _, err = run_cli(
             capsys, "oracle", "matrix-tree", "--cycle", "4", "--path", "3"
@@ -431,6 +463,37 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("count", "degrees", "--degrees", "2,x"),
+             "argument --degrees: expected comma-separated integers, got '2,x'"),
+            (("oracle", "matrix-tree", "--bipartite", "3"),
+             "argument --bipartite: expected two comma-separated integers, got '3'"),
+            (("oracle", "matrix-tree", "--edges", "1-2-3", "--vertices", "3"),
+             "argument --edges: expected edges like 1-2,2-3 got '1-2-3'"),
+        ],
+        ids=["int-list", "int-pair", "edge-list"],
+    )
+    def test_malformed_option_value_exits_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    def test_closed_stdout_exits_141_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treecount", "table", "--family", "bipartite",
+             "--from", "1", "--to", "100"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"m,n,count\n"
+        proc.stdout.close()  # the rest of the table no longer has a reader
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact arithmetic primitives."""
 
+import math
 from itertools import product
 
 import pytest
@@ -8,10 +9,8 @@ from hypothesis import strategies as st
 
 from treecount.combinatorics import (
     InexactDivisionError,
-    binomial,
     even_compositions,
     exact_div,
-    factorial,
     multinomial,
     positive_compositions,
 )
@@ -25,75 +24,11 @@ def iterated_product(k):
     return out
 
 
-def pascal_triangle(rows):
-    """Independent binomial oracle: additive Pascal recurrence."""
-    triangle = [[1]]
-    for _ in range(rows):
-        prev = triangle[-1]
-        triangle.append(
-            [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        )
-    return triangle
-
-
 def brute_compositions(total, parts):
     """Every tuple of nonnegative ints of given length and sum, by filtering."""
     return [
         c for c in product(range(total + 1), repeat=parts) if sum(c) == total
     ]
-
-
-class TestFactorial:
-    def test_empty_product(self):
-        assert factorial(0) == 1
-
-    def test_small(self):
-        assert factorial(5) == 120
-
-    def test_large_against_iterated_multiplication(self):
-        assert factorial(20) == iterated_product(20) == 2432902008176640000
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
-
-    def test_agrees_with_oracle_on_a_range(self):
-        for k in range(0, 40):
-            assert factorial(k) == iterated_product(k)
-
-
-def test_factorial_memo_is_thread_safe():
-    from concurrent.futures import ThreadPoolExecutor
-
-    arguments = [k % 250 for k in range(2000, 0, -7)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(factorial, arguments))
-    assert results == [iterated_product(k) for k in arguments]
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(4, 2) == 6
-        assert binomial(6, 0) == 1
-
-    def test_against_pascal_triangle(self):
-        triangle = pascal_triangle(12)
-        assert binomial(8, 3) == triangle[8][3] == 56
-        for n in range(13):
-            for k in range(n + 1):
-                assert binomial(n, k) == triangle[n][k]
-
-    def test_out_of_range_k_is_zero(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-2, 0)
-
-    def test_row_sums_are_powers_of_two(self):
-        for n in range(31):
-            assert sum(binomial(n, k) for k in range(n + 1)) == 2 ** n
 
 
 class TestMultinomial:
@@ -166,7 +101,7 @@ class TestEvenCompositions:
         for half in range(0, 9):
             for parts in range(1, 9):
                 produced = list(even_compositions(2 * half, parts))
-                assert len(produced) == binomial(half + parts - 1, parts - 1)
+                assert len(produced) == math.comb(half + parts - 1, parts - 1)
                 assert len(set(produced)) == len(produced)
                 assert all(
                     sum(c) == 2 * half and all(x % 2 == 0 for x in c)
@@ -183,7 +118,7 @@ class TestPositiveCompositions:
 
     def test_stars_and_bars_count(self):
         produced = list(positive_compositions(6, 4))
-        assert len(produced) == binomial(5, 3) == 10
+        assert len(produced) == math.comb(5, 3) == 10
 
     def test_order_is_increasing_lexicographic(self):
         for total, parts in [(6, 3), (7, 2), (5, 4)]:
@@ -198,6 +133,6 @@ class TestPositiveCompositions:
     @given(st.integers(1, 12), st.integers(1, 12))
     def test_counts_match_stars_and_bars(self, total, parts):
         produced = list(positive_compositions(total, parts))
-        assert len(produced) == binomial(total - 1, parts - 1)
+        assert len(produced) == math.comb(total - 1, parts - 1)
         assert all(sum(c) == total and min(c) >= 1 for c in produced)
         assert len(set(produced)) == len(produced)

@@ -1,9 +1,10 @@
 """Tests for the brute-force oracles, including oracle-vs-oracle agreement."""
 
+import math
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from treecount.combinatorics import SizeLimitError, positive_compositions
 from treecount.oracles import (
     LabeledGraph,
     Tree,
+    _bareiss_determinant,
     count_trees_bipartite_brute,
     count_trees_complete_brute,
     matrix_tree_count,
@@ -64,6 +66,16 @@ def naive_decode_edges(seq, n):
     return frozenset(edges)
 
 
+def leibniz_determinant(matrix):
+    """Reference determinant: the signed sum over all permutations."""
+    size = len(matrix)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(size))
+    return total
+
+
 def spanning_trees_by_edge_subsets(graph):
     """Second reference oracle: try every (n-1)-subset of edges."""
     n = graph.vertex_count
@@ -103,7 +115,7 @@ class TestPrueferDecode:
         with pytest.raises(ValueError):
             pruefer_decode([], 1)
 
-    def test_pointer_decode_matches_naive_rescan_exhaustively(self):
+    def test_decode_matches_naive_rescan_exhaustively(self):
         for n in range(2, 7):
             for seq in product(range(1, n + 1), repeat=n - 2):
                 assert frozenset(pruefer_decode(seq, n).edges) == naive_decode_edges(
@@ -119,7 +131,7 @@ class TestPrueferDecode:
             assert len(seen) == n ** (n - 2)
 
 
-class TestDegreesFromPruefer:
+class TestPrueferDegreeLemma:
     """The Prüfer degree lemma the complete-graph tally rests on: in the tree a
     sequence decodes to, vertex v has degree 1 plus its occurrences in the
     sequence.  The tally never decodes; this checks it against decoding."""
@@ -256,6 +268,24 @@ class TestBipartiteBruteForce:
                     assert count_trees_bipartite_brute(
                         m, n, predicate
                     ) == naive_bipartite_count(m, n, predicate), (side_a, side_b)
+
+
+class TestBareissDeterminant:
+    def test_zero_pivot_swaps_rows(self):
+        assert _bareiss_determinant([[0, 1], [1, 0]]) == -1
+        assert _bareiss_determinant([[0, 2, 1], [3, 0, 0], [1, 1, 1]]) == -3
+
+    def test_zero_column_below_pivot_is_singular(self):
+        assert _bareiss_determinant([[0, 1, 2], [0, 3, 4], [0, 6, 7]]) == 0
+
+    def test_matches_permutation_expansion_with_zero_pivots(self):
+        rng = random.Random(2718)
+        for _ in range(200):
+            size = rng.randint(2, 5)
+            matrix = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(size)] for _ in range(size)]
+            matrix[0][0] = 0
+            expected = leibniz_determinant(matrix)
+            assert _bareiss_determinant([row[:] for row in matrix]) == expected, matrix
 
 
 class TestMatrixTreeCount:

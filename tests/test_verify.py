@@ -139,6 +139,25 @@ class TestRendering:
         assert lines[-1].startswith("summary: total=")
         assert all(line.startswith("[ok ]") for line in lines[:-1])
 
+    def test_raising_case_renders_its_error(self, monkeypatch):
+        def broken(n):
+            raise RuntimeError("broken formula")
+
+        monkeypatch.setattr(verify, "odd_spanning_trees_complete", broken)
+        report = verify.run_verification(scopes=("complete",), complete_max=2)
+        records = [json.loads(line) for line in verify.render_jsonl(report).splitlines()]
+        failed = [r for r in records if "error" in r]
+        assert failed and all(r["family"] == "odd-complete" for r in failed)
+        assert {r["error"] for r in failed} == {"RuntimeError: broken formula"}
+        assert not any(r["match"] for r in failed)
+        lines = [line for line in verify.render_text(report).splitlines() if " error: " in line]
+        assert len(lines) == len(failed)
+        assert all(
+            line.startswith("[FAIL] odd-complete")
+            and line.endswith(" error: RuntimeError: broken formula")
+            for line in lines
+        )
+
     def test_failed_case_renders_fail_marker(self, monkeypatch):
         monkeypatch.setattr(verify, "spanning_trees_complete", lambda n: -1)
         report = verify.run_verification(scopes=("complete",), complete_max=2)
