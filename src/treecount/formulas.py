@@ -96,8 +96,9 @@ def odd_spanning_trees_complete(n: int) -> int:
 
     Evaluates sum_k C(n,k)(2k-n)**(n-2) / 2**n in exact integers; the
     division is checked and cannot fail for a correct sum.  For odd n the
-    sum itself vanishes (the k and n-k terms cancel), giving 0.  n = 1 is
-    special-cased to 0: the lone vertex has even degree 0.
+    power n-2 is odd, and binomial_power_sum returns 0 without summing
+    (the k and n-k terms cancel).  n = 1 is special-cased to 0: the lone
+    vertex has even degree 0.
     """
     _check_size(n, "n")
     if n == 1:

@@ -7,7 +7,14 @@ import sys
 import pytest
 
 from treecount import formulas, signsum, verify
-from treecount.cli import main, render_table, table_rows
+from treecount.cli import (
+    DECIMAL_SPLIT_BITS,
+    MAX_DIGITS,
+    decimal_string,
+    main,
+    render_table,
+    table_rows,
+)
 from treecount.signsum import binomial_power_sum
 
 
@@ -134,6 +141,72 @@ class TestHugeCounts:
         )
         assert (code, err) == (0, "")
         assert out == f"n,count\n1900,{1900 ** 1898}\n1901,{1901 ** 1899}\n"
+
+
+    def test_count_at_the_huge_counts_size_matches_str(self, capsys, int_str_limit):
+        code, out, err = run_cli(capsys, "count", "complete", "--n", "50000")
+        assert (code, err) == (0, "")
+        assert out == f"{50000 ** 49998}\n"
+
+
+class TestDecimalString:
+    @pytest.fixture(autouse=True)
+    def unlimited_str(self, int_str_limit):
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)  # the reference str() of huge values
+
+    def test_small_values(self):
+        for value in (0, 1, -1, 10, -999, 2 ** 64):
+            assert decimal_string(value) == str(value)
+
+    @pytest.mark.parametrize("bits", [DECIMAL_SPLIT_BITS - 1, DECIMAL_SPLIT_BITS, DECIMAL_SPLIT_BITS + 1])
+    def test_around_the_split_threshold(self, bits):
+        mixed = 3 ** 30000  # digits with no pattern, 47,549 bits
+        for value in (1 << (bits - 1), (1 << bits) - 1, mixed >> (mixed.bit_length() - bits)):
+            assert value.bit_length() == bits
+            assert decimal_string(value) == str(value)
+            assert decimal_string(-value) == str(-value)
+
+    def test_huge_power_and_its_negative(self):
+        value = 50000 ** 49998
+        text = str(value)
+        assert decimal_string(value) == text
+        assert decimal_string(-value) == "-" + text
+
+
+class TestDigitBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "complete", "--n", "1000000000"],
+            ["count", "odd-complete", "--n", "1000000000"],
+            ["count", "bipartite", "--m", "1000000", "--n", "1000000"],
+            ["count", "odd-bipartite", "--m", "1000001", "--n", "1000001"],
+            ["table", "--family", "complete", "--from", "1", "--to", "1000000000"],
+        ],
+        ids=" ".join,
+    )
+    def test_query_above_the_bound_exits_two_at_once(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecount", *argv],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: a count of about ")
+        assert proc.stderr.endswith(f"digits is above the bound of {MAX_DIGITS:,}\n")
+
+    def test_bound_falls_between_two_sizes(self, capsys):
+        # 189483**189481 has exactly MAX_DIGITS digits; one more vertex is too many
+        code, out, err = run_cli(capsys, "count", "complete", "--n", "189483")
+        assert (code, len(out), err) == (0, MAX_DIGITS + 1, "")
+        assert_usage_error(*run_cli(capsys, "count", "complete", "--n", "189484"))
+        assert_usage_error(
+            *run_cli(capsys, "table", "--family", "odd-complete", "--from", "2", "--to", "189484")
+        )
+
+    def test_bound_is_the_total_not_the_size(self, capsys):
+        # K_{1,n} is a star: one spanning tree however large n is
+        assert run_cli(capsys, "count", "bipartite", "--m", "1", "--n", "1000000000") == (0, "1\n", "")
 
 
 class TestInternalError:

@@ -1,5 +1,6 @@
 """Tests for the sign-hypercube power sums, against naive enumeration."""
 
+import math
 from itertools import product
 
 import pytest
@@ -14,6 +15,11 @@ from treecount.signsum import (
     hypercube_power_sum,
     multinomial_power_sum,
 )
+
+
+def definitional_binomial_sum(n, power):
+    """Oracle: sum C(n,k) * (2k - n)**power over the whole range, every binomial from math.comb."""
+    return sum(math.comb(n, k) * (2 * k - n) ** power for k in range(n + 1))
 
 
 def naive_power_sum(coeffs, power):
@@ -154,6 +160,21 @@ class TestBinomialPowerSum:
                 assert binomial_power_sum(n, power) == hypercube_power_sum(
                     ones, power
                 )
+
+    def test_matches_definition_at_small_sizes(self):
+        for n in range(1, 30):
+            for power in range(12):
+                assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
+
+    @pytest.mark.parametrize("n", [1000, 2001, 3000])
+    @pytest.mark.parametrize("offset", [2, 1])
+    def test_matches_definition_at_odd_count_powers(self, n, offset):
+        power = n - offset
+        assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
+
+    def test_power_zero_counts_every_sign_vector(self):
+        for n in (1, 2, 3, 10, 11, 1000):
+            assert binomial_power_sum(n, 0) == 2 ** n
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
