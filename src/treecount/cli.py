@@ -7,18 +7,19 @@ division that should have been exact), and 141 (128 + SIGPIPE) when the
 reader closes stdout early, as `| head` does.  Values go to stdout, one per
 line, as exact decimal strings of any length; diagnostics go to stderr.
 
-count, table and oracle take their families, sizes, closed forms and
-brute-force oracles from verify.FAMILIES, the table the verify sweep runs.
+count and table take their families, sizes and closed forms from
+verify.FAMILIES, which verify sweeps; oracle calls the counters directly.
 
 count and oracle read each option their query needs and reject any other
 given option as a usage error: no option is silently ignored.  oracle
 matrix-tree takes graphs of at most MATRIX_TREE_LIMIT vertices.
 
-count <family> and table print counts of at most MAX_DIGITS digits.  The
-family's total count, n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n},
-bounds every count of the family, and its digit count is checked before any
-arithmetic; a query above the bound is a usage error.  Huge counts are
-rendered by decimal_string, which is subquadratic where str(int) is not.
+count <family> and table print counts of at most MAX_DIGITS digits: the
+digits of the family's total (n**(n-2) for K_n, m**(n-1) * n**(m-1) for
+K_{m,n}), which bounds every count.  They and, for odd counts, the work of
+the binomial sums (MAX_KERNEL_BITS) are checked before any arithmetic; a
+query above either is a usage error.  decimal_string renders huge counts in
+subquadratic time.  table prints rows as computed: `| head` stops it at once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import os
 import sys
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import formulas, oracles, signsum, verify
 from .combinatorics import SizeLimitError
@@ -41,6 +42,11 @@ MATRIX_TREE_LIMIT = 100
 # Counts print in full.  K_n at n = 189,483, a million digits, takes 0.6 s
 # (2-core Xeon, Python 3.11); K_n at n = 10**9 would never finish.
 MAX_DIGITS = 1_000_000
+
+# binomial_power_sum(n, p) sums (n + 1) // 2 terms of n + p*log2(n) bits (one n-bit term
+# at p = 0).  Terms times bits over an odd count's sums stays below this: odd-complete
+# n = 5,460 and odd-bipartite m = n = 3,931 take about 2.5 s (2-core Xeon, Python 3.11).
+MAX_KERNEL_BITS = 200_000_000
 
 # From this many bits on, decimal_string's divide and conquer beats str(int):
 # str wins at 20,000 bits and loses from 40,000.
@@ -79,23 +85,32 @@ def decimal_string(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def _check_digits(sizes: Sequence[int]) -> None:
-    """Reject a query whose family's total count has over MAX_DIGITS digits.
+def _check_bounds(family: str, sizes: Sequence[int]) -> None:
+    """Reject a query above MAX_DIGITS digits or, for odd counts, MAX_KERNEL_BITS.
 
-    Odd and degree-constrained counts never exceed the total, so its digit
-    count, from logarithms alone, bounds every count of the family.
+    Odd and degree-constrained counts never exceed the family's total, so its
+    digit count, from logarithms alone, bounds every count of the family.  Both
+    measures grow with every size, so a table's largest cell bounds the rest.
     """
     if min(sizes) < 1:
         return  # the formula rejects the size itself
-    if len(sizes) == 1:  # K_n: n**(n-2)
+    if len(sizes) == 1:  # K_n: n**(n-2); odd: binomial_power_sum(n, n-2)
         (n,) = sizes
         digits = (n - 2) * math.log10(n)
-    else:  # K_{m,n}: m**(n-1) * n**(m-1)
+        kernels = [(n, n - 2)]
+    else:  # K_{m,n}: m**(n-1) * n**(m-1); odd: the sums (m, n-1) and (n, m-1)
         m, n = sizes
         digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
+        kernels = [(m, n - 1), (n, m - 1)]
     if digits > MAX_DIGITS:
         raise SizeLimitError(
             f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
+        )
+    work = sum(((k + 1) // 2 if p else 1) * (k + p * math.log2(k)) for k, p in kernels)
+    if family.startswith("odd-") and work > MAX_KERNEL_BITS:
+        raise SizeLimitError(
+            f"an odd count summing about {work:.3g} bits of terms is above"
+            f" the bound of {MAX_KERNEL_BITS:,}"
         )
 
 
@@ -205,7 +220,7 @@ def _run_count(args) -> int:
     if args.family in verify.FAMILIES:
         parameters, formula, _ = verify.FAMILIES[args.family]
         sizes = _read(args, f"count {args.family}", parameters)
-        _check_digits(sizes)
+        _check_bounds(args.family, sizes)
         value = formula(*sizes)
     elif args.degrees is not None:
         degrees = _read(args, "count degrees --degrees", ("degrees",))
@@ -236,29 +251,25 @@ def _run_verify(args) -> int:
     return 0 if report.all_match else 1
 
 
-def table_rows(family: str, start: int, stop: int) -> list[dict]:
-    """Table rows for a family over [start, stop]; counts as decimal strings."""
+def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
+    """A family's table over [start, stop] as csv or jsonl lines, computed one by one."""
     if start < 1 or start > stop:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
     parameters, formula, _ = verify.FAMILIES[family]
-    _check_digits([stop] * len(parameters))  # the largest cell bounds every other
-    span = range(start, stop + 1)
-    cells = (dict(zip(parameters, sizes)) for sizes in product(span, repeat=len(parameters)))
-    return [{**cell, "count": decimal_string(formula(**cell))} for cell in cells]
-
-
-def render_table(rows: list[dict], fmt: str) -> str:
-    if fmt == "jsonl":
-        return "\n".join(json.dumps(row, sort_keys=True) for row in rows)
-    header = ",".join(rows[0].keys()) if rows else "n,count"
-    lines = [header]
-    lines.extend(",".join(str(v) for v in row.values()) for row in rows)
-    return "\n".join(lines)
+    _check_bounds(family, [stop] * len(parameters))  # the largest cell bounds every other
+    if fmt == "csv":
+        yield ",".join((*parameters, "count"))
+    for sizes in product(range(start, stop + 1), repeat=len(parameters)):
+        count = decimal_string(formula(*sizes))
+        if fmt == "jsonl":
+            yield json.dumps({**dict(zip(parameters, sizes)), "count": count}, sort_keys=True)
+        else:
+            yield ",".join((*map(str, sizes), count))
 
 
 def _run_table(args) -> int:
-    rows = table_rows(args.family, args.start, args.stop)
-    print(render_table(rows, args.format))
+    for line in table_lines(args.family, args.start, args.stop, args.format):
+        print(line)
     return 0
 
 
@@ -289,25 +300,21 @@ def _run_oracle(args) -> int:
         return 0
     parameters, _, _ = verify.FAMILIES[args.kind]
     # at most one filter: --odd, or the degree profile of the graph
-    if args.kind == "complete":
-        profile, brute = ("degrees",), oracles.count_trees_complete_brute
-    else:
-        profile, brute = ("a", "b"), oracles.count_trees_bipartite_brute
+    complete = args.kind == "complete"
+    brute = oracles.count_trees_complete_brute if complete else oracles.count_trees_bipartite_brute
+    profile = ("degrees",) if complete else ("a", "b")
     has_profile = any(getattr(args, name) is not None for name in profile)
     filter_ = ("odd",) if args.odd else profile if has_profile else ()
     query = " ".join(["oracle", args.kind, *(f"--{name}" for name in filter_)])
     sizes = _read(args, query, (*parameters, *filter_))[: len(parameters)]
+    predicate = oracles.all_odd if args.odd else None
     if filter_ == profile:
         target = tuple(tuple(getattr(args, name)) for name in profile)
         lengths = [len(side) for side in target]
         if lengths != sizes:
             raise ValueError(f"{query} needs {sizes} degrees, one per vertex, got {lengths}")
-        value = brute(*sizes, lambda *sides: sides == target)
-    else:
-        _, _, family_oracles = verify.FAMILIES[f"odd-{args.kind}" if args.odd else args.kind]
-        brute = next(o for kind, o in family_oracles.items() if kind.endswith("-brute"))
-        value = brute(*sizes)
-    print(value)
+        predicate = lambda *sides: sides == target
+    print(brute(*sizes, predicate))
     return 0
 
 

@@ -4,14 +4,15 @@ Three unrelated oracles, so a bug in one cannot hide in another:
 
 * exhaustive Prüfer enumeration for K_n -- tally the degree profile of every
   sequence (vertex v has degree 1 plus its number of occurrences; no tree is
-  decoded), filter, count;
+  decoded);
 * edge-subset enumeration for K_{m,n} -- try every (m+n-1)-subset of the
-  edges, keep the trees, filter, count;
+  edges and tally the degree profiles of the trees;
 * the Matrix-Tree determinant of the reduced Laplacian, computed with
   fraction-free (Bareiss) elimination over exact integers.
 
-The enumeration sweeps are deliberately dumb: no formula from
-``treecount.formulas`` is consulted anywhere here.
+Both tallies key a profile by its per-side degree tuples (one for K_n, two
+for K_{m,n}), so one step counts either, and all_odd is the one parity
+filter.  No formula from ``treecount.formulas`` is consulted anywhere here.
 """
 
 from __future__ import annotations
@@ -28,21 +29,23 @@ PrueferSequence = Sequence[int]
 # The desk-scale ceiling: 9**7 (~4.8M) sequences tallied for K_9, C(20, 8) subsets for K_{4,5}.
 BRUTE_FORCE_LIMIT = 9
 
-DegreePredicate = Callable[[tuple[int, ...]], bool]
-BipartiteDegreePredicate = Callable[[tuple[int, ...], tuple[int, ...]], bool]
+# called with the per-side degree tuples: one for K_n, two for K_{m,n}
+DegreePredicate = Callable[..., bool]
+DegreeTally = dict[tuple[tuple[int, ...], ...], int]
 
 
-def all_odd(degrees: Sequence[int]) -> bool:
-    """The odd-tree filter: every degree in the profile is odd."""
-    return all(d % 2 == 1 for d in degrees)
+def all_odd(*sides: Sequence[int]) -> bool:
+    """The odd-tree filter: every degree on every side of the profile is odd."""
+    return all(d % 2 == 1 for side in sides for d in side)
 
 
 @dataclass(frozen=True)
 class Tree:
     """A labeled tree on vertices 1..vertex_count.
 
-    Construction checks the three defining properties (edge count,
-    connectivity, acyclicity) and rejects anything that is not a tree.
+    Construction checks the edge count and acyclicity, and rejects anything
+    that is not a tree.  Together they imply connectivity: each of the n - 1
+    edges joins two components, so the n singletons end as one.
     """
 
     vertex_count: int
@@ -73,9 +76,6 @@ class Tree:
             if ru == rv:
                 raise ValueError(f"edge ({u},{v}) closes a cycle")
             parent[ru] = rv
-        root = find(1)
-        if any(find(v) != root for v in range(2, n + 1)):
-            raise ValueError("edges do not connect all vertices")
 
     def degrees(self) -> tuple[int, ...]:
         degs = [0] * (self.vertex_count + 1)
@@ -154,8 +154,10 @@ def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
 
 
 @lru_cache(maxsize=None)
-def _complete_degree_tally(n: int) -> dict[tuple[int, ...], int]:
+def _complete_degree_tally(n: int) -> DegreeTally:
     """Tally of degree profiles over all n**(n-2) Prüfer sequences."""
+    if n == 1:
+        return {((0,),): 1}
     tally: dict[tuple[int, ...], int] = {}
     labels = range(1, n + 1)
     for seq in product(labels, repeat=n - 2):
@@ -164,11 +166,11 @@ def _complete_degree_tally(n: int) -> dict[tuple[int, ...], int]:
             degree[v] += 1
         profile = tuple(degree[1:])
         tally[profile] = tally.get(profile, 0) + 1
-    return tally
+    return {(profile,): count for profile, count in tally.items()}
 
 
 @lru_cache(maxsize=None)
-def _bipartite_degree_tally(m: int, n: int) -> dict[tuple[int, ...], int]:
+def _bipartite_degree_tally(m: int, n: int) -> DegreeTally:
     """Tally of degree profiles over the spanning trees of K_{m,n}.
 
     The definition of a spanning tree, evaluated directly: every
@@ -183,7 +185,12 @@ def _bipartite_degree_tally(m: int, n: int) -> dict[tuple[int, ...], int]:
             continue
         profile = tree.degrees()
         tally[profile] = tally.get(profile, 0) + 1
-    return tally
+    return {(profile[:m], profile[m:]): count for profile, count in tally.items()}
+
+
+def _count(tally: DegreeTally, predicate: DegreePredicate | None) -> int:
+    """The trees of `tally` whose per-side profile `predicate` accepts (None: all)."""
+    return sum(count for sides, count in tally.items() if predicate is None or predicate(*sides))
 
 
 def count_trees_complete_brute(
@@ -203,16 +210,11 @@ def count_trees_complete_brute(
         raise SizeLimitError(
             f"complete brute force is bounded at n <= {BRUTE_FORCE_LIMIT}, got {n}"
         )
-    if n == 1:
-        return 1 if predicate is None or predicate((0,)) else 0
-    tally = _complete_degree_tally(n)
-    if predicate is None:
-        return sum(tally.values())
-    return sum(count for profile, count in tally.items() if predicate(profile))
+    return _count(_complete_degree_tally(n), predicate)
 
 
 def count_trees_bipartite_brute(
-    m: int, n: int, predicate: BipartiteDegreePredicate | None = None
+    m: int, n: int, predicate: DegreePredicate | None = None
 ) -> int:
     """Count spanning trees of K_{m,n} whose degree profile satisfies `predicate`.
 
@@ -229,14 +231,7 @@ def count_trees_bipartite_brute(
             f"bipartite brute force is bounded at m + n <= {BRUTE_FORCE_LIMIT},"
             f" got {total}"
         )
-    tally = _bipartite_degree_tally(m, n)
-    if predicate is None:
-        return sum(tally.values())
-    return sum(
-        count
-        for profile, count in tally.items()
-        if predicate(profile[:m], profile[m:])
-    )
+    return _count(_bipartite_degree_tally(m, n), predicate)
 
 
 def _bareiss_determinant(matrix: list[list[int]]) -> int:

@@ -159,9 +159,7 @@ FAMILIES = {
         ("m", "n"),
         lambda m, n: odd_spanning_trees_bipartite(m, n),
         {
-            "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(
-                m, n, lambda a, b: all_odd(a + b)
-            ),
+            "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n, all_odd),
             "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
         },
     ),

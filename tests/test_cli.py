@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -11,9 +12,10 @@ from treecount.cli import (
     DECIMAL_SPLIT_BITS,
     MAX_DIGITS,
     decimal_string,
+    MAX_KERNEL_BITS,
+    _check_bounds,
     main,
-    render_table,
-    table_rows,
+    table_lines,
 )
 from treecount.signsum import binomial_power_sum
 
@@ -209,6 +211,54 @@ class TestDigitBound:
         assert run_cli(capsys, "count", "bipartite", "--m", "1", "--n", "1000000000") == (0, "1\n", "")
 
 
+class TestKernelBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "odd-complete", "--n", "10000"],
+            ["count", "odd-bipartite", "--m", "1", "--n", "400000001"],
+            ["count", "odd-bipartite", "--m", "5000", "--n", "5001"],
+            ["table", "--family", "odd-complete", "--from", "2", "--to", "10000"],
+        ],
+        ids=" ".join,
+    )
+    def test_query_above_the_bound_exits_two_at_once(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecount", *argv],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: an odd count summing about ")
+        assert proc.stderr.endswith(f"bits of terms is above the bound of {MAX_KERNEL_BITS:,}\n")
+
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [
+            ("odd-complete", [3008]),
+            ("odd-complete", [602]),
+            ("odd-bipartite", [2009, 2009]),
+            ("odd-bipartite", [1, 10**6]),
+            ("complete", [10**5]),
+            ("bipartite", [1, 10**9]),
+        ],
+    )
+    def test_admits_the_huge_counts_sizes_and_totals(self, family, sizes):
+        _check_bounds(family, sizes)
+
+    def test_bound_grows_with_every_size(self):
+        # odd-complete is admitted up to n = 5,460 and rejected from 5,461, at any parity
+        for n in (5459, 5460):
+            _check_bounds("odd-complete", [n])
+        for n in (5461, 5462):
+            with pytest.raises(ValueError):
+                _check_bounds("odd-complete", [n])
+
+    def test_digit_bound_is_checked_first(self, capsys):
+        code, out, err = run_cli(capsys, "count", "odd-complete", "--n", "1000000000")
+        assert_usage_error(code, out, err)
+        assert "digits is above the bound" in err
+
+
 class TestInternalError:
     def test_inexact_division_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(formulas, "binomial_power_sum", lambda n, power: 1)
@@ -339,20 +389,40 @@ class TestTable:
         )
 
     def test_csv_round_trips_byte_identically(self):
-        rows = table_rows("odd-complete", 2, 9)
-        rendered = render_table(rows, "csv")
-        header, *body = rendered.split("\n")
-        reparsed = [
-            dict(zip(("n", "count"), (int(n), count)))
-            for n, count in (line.split(",") for line in body)
-        ]
-        assert render_table(reparsed, "csv") == rendered
+        header, *body = table_lines("odd-complete", 2, 9, "csv")
+        reparsed = [(int(n), int(count)) for n, count in (line.split(",") for line in body)]
+        assert header == "n,count"
+        assert reparsed == [(n, formulas.odd_spanning_trees_complete(n)) for n in range(2, 10)]
+        assert [f"{n},{count}" for n, count in reparsed] == body
 
     def test_jsonl_round_trips_byte_identically(self):
-        rows = table_rows("bipartite", 1, 4)
-        rendered = render_table(rows, "jsonl")
-        reparsed = [json.loads(line) for line in rendered.split("\n")]
-        assert render_table(reparsed, "jsonl") == rendered
+        lines = list(table_lines("bipartite", 1, 4, "jsonl"))
+        records = [json.loads(line) for line in lines]
+        assert [json.dumps(record, sort_keys=True) for record in records] == lines
+        assert [(r["m"], r["n"], int(r["count"])) for r in records] == [
+            (m, n, formulas.spanning_trees_bipartite(m, n))
+            for m in range(1, 5)
+            for n in range(1, 5)
+        ]
+
+    def test_closed_stdout_stops_a_long_table_at_once(self):
+        # the whole table would take minutes; its first lines print as they come
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treecount", "table", "--family", "bipartite",
+             "--from", "1", "--to", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"m,n,count\n"
+            assert proc.stdout.readline() == b"1,1,1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=10) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
     def test_malformed_range_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -524,6 +594,20 @@ class TestOracle:
             capsys, "oracle", "matrix-tree", "--cycle", "4", "--path", "3"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("family", list(verify.FAMILIES))
+    def test_prints_the_family_brute_oracle(self, capsys, family):
+        parameters, _, family_oracles = verify.FAMILIES[family]
+        (brute,) = [o for kind, o in family_oracles.items() if kind.endswith("-brute")]
+        odd = ["--odd"] if family.startswith("odd-") else []
+        for sizes in product(range(1, 7), repeat=len(parameters)):
+            if sum(sizes) > 6:
+                continue
+            options = [arg for name, size in zip(parameters, sizes) for arg in (f"--{name}", str(size))]
+            code, out, err = run_cli(
+                capsys, "oracle", family.removeprefix("odd-"), *options, *odd
+            )
+            assert (code, out, err) == (0, f"{brute(*sizes)}\n", ""), sizes
 
     def test_oversize_brute_force_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "complete", "--n", "12")

@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from treecount import oracles
 from treecount.combinatorics import SizeLimitError, positive_compositions
 from treecount.oracles import (
     LabeledGraph,
@@ -74,6 +75,20 @@ def leibniz_determinant(matrix):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
         total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(size))
     return total
+
+
+def reaches_every_vertex(n, edges):
+    """Reference connectivity: a depth-first search from vertex 1."""
+    neighbours = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, stack = {1}, [1]
+    while stack:
+        for w in neighbours[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == n
 
 
 def spanning_trees_by_edge_subsets(graph):
@@ -156,9 +171,20 @@ class TestTreeValidation:
         with pytest.raises(ValueError):
             Tree(4, ((1, 2), (3, 4)))
 
-    def test_disconnected_rejected(self):
+    def test_repeated_edge_rejected_as_cycle(self):
         with pytest.raises(ValueError):
             Tree(4, ((1, 2), (1, 2), (3, 4)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_accepts_exactly_the_connected_edge_sets(self, n):
+        # edge count and acyclicity alone decide, with no connectivity pass
+        for subset in combinations(sorted(LabeledGraph.complete(n).edges), n - 1):
+            try:
+                Tree(n, subset)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == reaches_every_vertex(n, subset), subset
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +195,33 @@ class TestTreeValidation:
 
     def test_degrees(self):
         assert Tree(4, ((1, 2), (2, 3), (2, 4))).degrees() == (1, 3, 1, 1)
+
+
+class TestAllOdd:
+    def test_one_side(self):
+        assert oracles.all_odd((1, 3, 1))
+        assert not oracles.all_odd((1, 2, 1))
+        assert oracles.all_odd(())
+
+    def test_two_sides(self):
+        assert oracles.all_odd((1, 3), (1, 1, 5))
+        assert not oracles.all_odd((1, 3), (1, 2, 1))
+        assert not oracles.all_odd((2,), (1,))
+
+    def test_sides_are_one_profile(self):
+        for a in product(range(1, 4), repeat=2):
+            for b in product(range(1, 4), repeat=3):
+                assert oracles.all_odd(a, b) == oracles.all_odd(a + b) == all_odd(a + b)
+
+    def test_filters_both_counters(self):
+        for n in range(1, 7):
+            assert count_trees_complete_brute(n, oracles.all_odd) == count_trees_complete_brute(
+                n, all_odd
+            )
+        for m, n in SMALL_SPLITS:
+            assert count_trees_bipartite_brute(m, n, oracles.all_odd) == naive_bipartite_count(
+                m, n, lambda a, b: all_odd(a + b)
+            )
 
 
 class TestLabeledGraph:
