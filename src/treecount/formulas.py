@@ -125,14 +125,27 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     """Number of spanning trees of K_{m,n} with every degree odd.
 
     Evaluates the product of the two one-sided binomial sums divided by
-    2**(m+n), exactly.  Whenever m or n is even the count is 0, forced by
-    the handshaking parity of the side degree sums.
+    2**(m+n), exactly, each sum divided by 2**side first.  Whenever m or n
+    is even the count is 0, forced by the handshaking parity of the side
+    degree sums.
     """
     _check_size(m, "m")
     _check_size(n, "n")
-    bracket_a = binomial_power_sum(m, n - 1)
-    bracket_b = binomial_power_sum(n, m - 1)
-    return exact_div(bracket_a * bracket_b, 1 << (m + n))
+    return _bracket(m, n - 1) * _bracket(n, m - 1)
+
+
+def _bracket(side: int, power: int) -> int:
+    """One side's binomial sum over 2**side, checked exact.
+
+    The sum over a side's sign vectors is 2**side times a sum of
+    multinomials over even compositions (see multinomial_power_sum), so
+    the division leaves an integer.  At power 0 the sum is 2**side itself,
+    and the quotient 1 is returned without building it: K_{1,n} costs
+    nothing that grows with n.
+    """
+    if power == 0:
+        return 1
+    return exact_div(binomial_power_sum(side, power), 1 << side)
 
 
 def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> int:

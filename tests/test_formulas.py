@@ -1,5 +1,7 @@
 """Tests for the closed-form counters against the brute-force oracles."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,24 @@ class TestOddSpanningTreesBipartite:
         for m in range(1, 21):
             for n in range(1, 21):
                 odd_spanning_trees_bipartite(m, n)
+
+    def test_star_matches_composition_sum(self):
+        # K_{1,n} and K_{m,1}: one side's sum has power 0
+        for other in range(1, 61):
+            for m, n in ((1, other), (other, 1)):
+                assert odd_spanning_trees_bipartite(m, n) == odd_spanning_trees_bipartite_by_sum(
+                    m, n
+                ), (m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 20_000_001), (20_000_001, 1)])
+    def test_star_builds_nothing_that_grows_with_its_size(self, m, n):
+        tracemalloc.start()
+        try:
+            assert odd_spanning_trees_bipartite(m, n) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # 2**20_000_001 alone would take 2.5 MB
 
 
 class TestOddSpanningTreesBipartiteBySum:

@@ -29,7 +29,7 @@ def all_odd(degrees):
 def naive_bipartite_profiles(m, n):
     """Reference loop: decode every sequence via the public pruefer_decode,
     keep the trees with no edge inside a side, and list their per-side
-    degree tuples.  Independent of the edge-subset enumeration in the
+    degree tuples.  Independent of the depth-first edge search in the
     oracles module."""
     total = m + n
     profiles = []
@@ -40,6 +40,33 @@ def naive_bipartite_profiles(m, n):
         degrees = tree.degrees()
         profiles.append((degrees[:m], degrees[m:]))
     return profiles
+
+
+def reference_bipartite_tally(m, n):
+    """Reference loop: try every (m+n-1)-subset of the sorted edges through
+    Tree and tally the per-side degree tuples of those it accepts."""
+    edges = sorted(LabeledGraph.complete_bipartite(m, n).edges)
+    tally = Counter()
+    for subset in combinations(edges, m + n - 1):
+        try:
+            degrees = Tree(m + n, subset).degrees()
+        except ValueError:  # a cycle, so not a tree
+            continue
+        tally[degrees[:m], degrees[m:]] += 1
+    return dict(tally)
+
+
+def reference_complete_tally(n):
+    """Reference loop: build a fresh degree list for every Prüfer sequence."""
+    if n == 1:
+        return {((0,),): 1}
+    tally = Counter()
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        degree = [1] * (n + 1)
+        for v in seq:
+            degree[v] += 1
+        tally[(tuple(degree[1:]),)] += 1
+    return dict(tally)
 
 
 def naive_bipartite_count(m, n, predicate=None):
@@ -321,6 +348,20 @@ class TestBipartiteBruteForce:
                     assert count_trees_bipartite_brute(
                         m, n, predicate
                     ) == naive_bipartite_count(m, n, predicate), (side_a, side_b)
+
+
+class TestDegreeTallies:
+    """The depth-first tallies against the loops they replaced, key for key."""
+
+    @pytest.mark.parametrize(
+        "m, n", [(m, total - m) for total in range(2, 9) for m in range(1, total)]
+    )
+    def test_bipartite_matches_edge_subset_loop(self, m, n):
+        assert oracles._bipartite_degree_tally(m, n) == reference_bipartite_tally(m, n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complete_matches_sequence_loop(self, n):
+        assert oracles._complete_degree_tally(n) == reference_complete_tally(n)
 
 
 class TestBareissDeterminant:
