@@ -26,11 +26,9 @@ from .formulas import (
 from .oracles import (
     BRUTE_FORCE_LIMIT,
     LabeledGraph,
-    Tree,
     count_trees_bipartite_brute,
     count_trees_complete_brute,
     matrix_tree_count,
-    pruefer_decode,
 )
 from .signsum import (
     HYPERCUBE_LIMIT,
@@ -48,7 +46,6 @@ __all__ = [
     "InexactDivisionError",
     "LabeledGraph",
     "SizeLimitError",
-    "Tree",
     "binomial_power_sum",
     "count_trees_bipartite_brute",
     "count_trees_complete_brute",
@@ -64,7 +61,6 @@ __all__ = [
     "odd_spanning_trees_complete",
     "odd_spanning_trees_complete_by_sum",
     "positive_compositions",
-    "pruefer_decode",
     "spanning_trees_bipartite",
     "spanning_trees_complete",
     "trees_with_degrees_bipartite",

@@ -3,9 +3,10 @@
 Subcommands: count, verify, table, signsum, oracle.  Exit status is 0 on
 success, 1 when a verification or cross-check finds a mismatch, 2 for
 invalid usage or parameters, 3 for an internal error (a bug, such as a
-division that should have been exact), and 141 (128 + SIGPIPE) when the
-reader closes stdout early, as `| head` does.  Values go to stdout, one per
-line, as exact decimal strings of any length; diagnostics go to stderr.
+division that should have been exact, or a verify case that raised while no
+case mismatched), and 141 (128 + SIGPIPE) when the reader closes stdout
+early, as `| head` does.  Values go to stdout, one per line, as exact
+decimal strings of any length; diagnostics go to stderr.
 
 count and table take their families, sizes and closed forms from
 verify.FAMILIES, which verify sweeps; oracle calls the counters directly.
@@ -18,8 +19,10 @@ count <family> and table print counts of at most MAX_DIGITS digits: the
 digits of the family's total (n**(n-2) for K_n, m**(n-1) * n**(m-1) for
 K_{m,n}), which bounds every count.  They and, for odd counts, the work of
 the binomial sums (MAX_KERNEL_BITS) are checked before any arithmetic; a
-query above either is a usage error.  decimal_string renders huge counts in
-subquadratic time.  table prints rows as computed: `| head` stops it at once.
+query above either is a usage error.  signsum is held to the same two bounds:
+the digits of 2**n * (sum |a_i|)**power, which bounds the sum, and the work of
+the mode it runs.  decimal_string renders huge counts in subquadratic time.
+table prints rows as computed: `| head` stops it at once.
 """
 
 from __future__ import annotations
@@ -110,6 +113,38 @@ def _check_bounds(family: str, sizes: Sequence[int]) -> None:
     if family.startswith("odd-") and work > MAX_KERNEL_BITS:
         raise SizeLimitError(
             f"an odd count summing about {work:.3g} bits of terms is above"
+            f" the bound of {MAX_KERNEL_BITS:,}"
+        )
+
+
+def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
+    """Reject a signsum query above MAX_DIGITS digits or MAX_KERNEL_BITS of work.
+
+    Every sign vector's form is at most s = sum |a_i| in size, so the sum is at
+    most 2**n * s**power, whose digits bound the output.  Work is terms times
+    bits, with s**power the largest term.  The direct walk adds 2**n terms to a
+    sum of up to n more bits.  The expansion builds a binomial table of
+    t = (power/2 + 1)(power/2 + 2)/2 entries, then convolves t products per
+    coefficient; an odd power returns 0 at once.
+    """
+    if power < 0:
+        return  # the power sums reject it themselves
+    n, total = len(coeffs), sum(abs(a) for a in coeffs)
+    digits = n * math.log10(2) + power * math.log10(max(total, 1))
+    if digits > MAX_DIGITS:
+        raise SizeLimitError(
+            f"a sum of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
+        )
+    term_bits = 1 + power * math.log2(max(total, 2))
+    work = 0.0
+    if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the walk refuses
+        work += 2 ** n * (n + term_bits)
+    if mode != "direct" and power % 2 == 0:
+        half = power // 2
+        work += (n + 1) * (half + 1) * (half + 2) // 2 * term_bits
+    if work > MAX_KERNEL_BITS:
+        raise SizeLimitError(
+            f"a sign sum adding about {work:.3g} bits of terms is above"
             f" the bound of {MAX_KERNEL_BITS:,}"
         )
 
@@ -248,7 +283,18 @@ def _run_verify(args) -> int:
         print(verify.render_jsonl(report))
     else:
         print(verify.render_text(report))
-    return 0 if report.all_match else 1
+    if report.all_match:
+        return 0
+    if any(case.formula_value != case.oracle_value for case in report.cases):
+        return 1  # a real mismatch outranks a bug
+    raised = [case for case in report.cases if case.error is not None]  # every failed case
+    first = raised[0]
+    print(
+        f"internal error: {len(raised)} of {len(report.cases)} verify cases raised,"
+        f" the first {first.family} ({first.oracle_kind}): {first.error}",
+        file=sys.stderr,
+    )
+    return 3
 
 
 def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
@@ -277,16 +323,17 @@ def _run_signsum(args) -> int:
     coeffs, power = args.coeffs, args.power
     if not coeffs:
         raise ValueError("--coeffs must not be empty")
+    _check_signsum_bounds(coeffs, power, args.mode)
     if args.mode == "direct":
-        print(signsum.hypercube_power_sum(coeffs, power))
+        print(decimal_string(signsum.hypercube_power_sum(coeffs, power)))
         return 0
     if args.mode == "multinomial":
-        print(signsum.multinomial_power_sum(coeffs, power))
+        print(decimal_string(signsum.multinomial_power_sum(coeffs, power)))
         return 0
     direct = signsum.hypercube_power_sum(coeffs, power)
     expanded = signsum.multinomial_power_sum(coeffs, power)
-    print(direct)
-    print(expanded)
+    print(decimal_string(direct))
+    print(decimal_string(expanded))
     if direct == expanded:
         print("match")
         return 0

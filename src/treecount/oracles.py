@@ -14,17 +14,18 @@ Three unrelated oracles, so a bug in one cannot hide in another:
 Both tallies key a profile by its per-side degree tuples (one for K_n, two
 for K_{m,n}), so one step counts either, and all_odd is the one parity
 filter.  No formula from ``treecount.formulas`` is consulted anywhere here.
+
+Since no oracle decodes a sequence, the Prüfer decoder and the validated
+``Tree`` that the tests check these tallies against live with those tests,
+in ``tests/test_oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import SizeLimitError
-
-PrueferSequence = Sequence[int]
 
 # The desk-scale ceiling: 9**7 (~4.8M) sequences tallied for K_9; 32,000 trees reached for
 # K_{4,5}, the largest bipartite tally, and 92,134 over all m + n <= 9.
@@ -38,52 +39,6 @@ DegreeTally = dict[tuple[tuple[int, ...], ...], int]
 def all_odd(*sides: Sequence[int]) -> bool:
     """The odd-tree filter: every degree on every side of the profile is odd."""
     return all(d % 2 == 1 for side in sides for d in side)
-
-
-@dataclass(frozen=True)
-class Tree:
-    """A labeled tree on vertices 1..vertex_count.
-
-    Construction checks the edge count and acyclicity, and rejects anything
-    that is not a tree.  Together they imply connectivity: each of the n - 1
-    edges joins two components, so the n singletons end as one.
-    """
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        n = self.vertex_count
-        if n < 1:
-            raise ValueError(f"vertex_count must be >= 1, got {n}")
-        if len(self.edges) != n - 1:
-            raise ValueError(
-                f"a tree on {n} vertices has {n - 1} edges, got {len(self.edges)}"
-            )
-        parent = list(range(n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValueError(f"edge ({u},{v}) closes a cycle")
-            parent[ru] = rv
-
-    def degrees(self) -> tuple[int, ...]:
-        degs = [0] * (self.vertex_count + 1)
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs[1:])
 
 
 class LabeledGraph:
@@ -124,34 +79,6 @@ class LabeledGraph:
         if n < 3:
             raise ValueError(f"a cycle needs >= 3 vertices, got {n}")
         return cls(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-
-
-def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
-    """Decode a Prüfer sequence into its unique labeled tree on 1..n.
-
-    Classical bijection: for each entry in turn, attach the smallest-labeled
-    current leaf (a vertex of degree 1) to it and remove that leaf.  Vertex n
-    is never the smallest leaf, so the last two vertices left are the
-    smallest remaining leaf and n, which form the final edge.
-    """
-    if n < 2:
-        raise ValueError(f"decoding requires n >= 2, got {n}")
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length {len(seq)} != n - 2 = {n - 2}")
-    for entry in seq:
-        if not 1 <= entry <= n:
-            raise ValueError(f"sequence entry {entry} out of range 1..{n}")
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = degree.index(1, 1)
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[leaf] = 0
-        degree[v] -= 1
-    edges.append((degree.index(1, 1), n))
-    return Tree(n, tuple(edges))
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import (
     even_compositions,
@@ -45,8 +44,7 @@ DEFAULT_BIPARTITE_MAX = 9
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     """One formula-versus-oracle comparison."""
 
     family: str
@@ -77,8 +75,7 @@ class VerificationCase:
         return record
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     cases: list[VerificationCase]
 
     @property
@@ -95,8 +92,7 @@ class VerificationReport:
         return all(c.match for c in self.cases)
 
 
-@dataclass(frozen=True)
-class _CaseSpec:
+class _CaseSpec(NamedTuple):
     family: str
     parameters: dict
     oracle_kind: str

@@ -14,6 +14,7 @@ from treecount.cli import (
     decimal_string,
     MAX_KERNEL_BITS,
     _check_bounds,
+    _check_signsum_bounds,
     main,
     table_lines,
 )
@@ -323,6 +324,36 @@ class TestVerifyCommand:
         assert code == 1
         assert "[FAIL]" in out
 
+    def test_raising_case_exits_three(self, capsys, monkeypatch):
+        def broken(n):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(verify, "odd_spanning_trees_complete", broken)
+        code, out, err = run_cli(
+            capsys, "verify", "--scope", "complete", "--complete-max", "3"
+        )
+        assert code == 3
+        assert "[FAIL] odd-complete n=3 formula=0 oracle=0 " in out
+        assert out.endswith(" failed=5\n")  # the full report, as on any other exit
+        assert err == (
+            "internal error: 5 of 11 verify cases raised, the first odd-complete"
+            " (pruefer-brute): ZeroDivisionError: bug\n"
+        )
+
+    def test_mismatch_outranks_a_raising_case(self, capsys, monkeypatch):
+        def broken(n):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(verify, "odd_spanning_trees_complete", broken)
+        monkeypatch.setattr(verify, "spanning_trees_complete", lambda n: 7)
+        code, out, err = run_cli(
+            capsys, "verify", "--scope", "complete", "--complete-max", "3", "--format", "jsonl"
+        )
+        assert (code, err) == (1, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert {r["family"] for r in records if "error" in r} == {"odd-complete"}
+        assert any(r["formula_value"] != r["oracle_value"] for r in records)
+
     def test_out_of_range_bound_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--complete-max", "11")
         assert code == 2
@@ -472,6 +503,55 @@ class TestSignsum:
         code, out, err = run_cli(capsys, "signsum", "--coeffs", "", "--power", "2")
         assert_usage_error(code, out, err)
         assert "--coeffs must not be empty" in err
+
+    def test_huge_value_prints_in_full(self, capsys):
+        # 2 * (3**30000 + 1) is above DECIMAL_SPLIT_BITS, so decimal_string splits it
+        value = 2 * (3**30000 + 1)
+        assert value.bit_length() > DECIMAL_SPLIT_BITS
+        code, out, _ = run_cli(
+            capsys, "signsum", "--coeffs", "1,2", "--power", "30000", "--mode", "direct"
+        )
+        assert (code, out) == (0, f"{value}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--coeffs", "9", "--power", "3000000", "--mode", "direct"], "digits"),
+            (["--coeffs", "1", "--power", "100000", "--mode", "multinomial"], "bits of terms"),
+            (["--coeffs", "1,2", "--power", "3000000"], "digits"),
+            (["--coeffs", ",".join(["1"] * 23), "--power", "0", "--mode", "direct"],
+             "bits of terms"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_query_above_the_bound_exits_two_at_once(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecount", "signsum", *argv],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        bound = MAX_DIGITS if message == "digits" else MAX_KERNEL_BITS
+        assert proc.stderr.endswith(f"{message} is above the bound of {bound:,}\n")
+
+    @pytest.mark.parametrize(
+        "coeffs, mode, largest",
+        [
+            ([1], "multinomial", 924),  # about 1.4 s (2-core Xeon, Python 3.11)
+            ([1, 2], "both", 692),
+            ([1] * 30, "multinomial", 216),
+            ([1] * 20, "direct", 38),  # 2**20 terms
+            ([9], "direct", 1_047_950),  # the digit bound: 9**power has a million digits
+        ],
+    )
+    def test_bound_falls_between_two_even_powers(self, coeffs, mode, largest):
+        _check_signsum_bounds(coeffs, largest, mode)
+        with pytest.raises(ValueError, match="above the bound"):
+            _check_signsum_bounds(coeffs, largest + 2, mode)
+
+    def test_an_odd_power_costs_the_expansion_nothing(self, capsys):
+        assert run_cli(
+            capsys, "signsum", "--coeffs", "1", "--power", "100001", "--mode", "multinomial"
+        ) == (0, "0\n", "")
 
     def test_direct_mode_size_limit_is_usage_error(self, capsys):
         coeffs = ",".join(["1"] * 25)

@@ -1,10 +1,17 @@
-"""Tests for the brute-force oracles, including oracle-vs-oracle agreement."""
+"""Tests for the brute-force oracles, including oracle-vs-oracle agreement.
+
+Tree and pruefer_decode are the references the oracles are checked
+against: a validated labeled tree and the classical Prüfer decoder.  The
+oracles themselves never decode a sequence, so both live here.
+"""
 
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 import pytest
 
@@ -12,13 +19,87 @@ from treecount import oracles
 from treecount.combinatorics import SizeLimitError, positive_compositions
 from treecount.oracles import (
     LabeledGraph,
-    Tree,
     _bareiss_determinant,
     count_trees_bipartite_brute,
     count_trees_complete_brute,
     matrix_tree_count,
-    pruefer_decode,
 )
+
+PrueferSequence = Sequence[int]
+
+
+@dataclass(frozen=True)
+class Tree:
+    """A labeled tree on vertices 1..vertex_count.
+
+    Construction checks the edge count and acyclicity, and rejects anything
+    that is not a tree.  Together they imply connectivity: each of the n - 1
+    edges joins two components, so the n singletons end as one.
+    """
+
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        n = self.vertex_count
+        if n < 1:
+            raise ValueError(f"vertex_count must be >= 1, got {n}")
+        if len(self.edges) != n - 1:
+            raise ValueError(
+                f"a tree on {n} vertices has {n - 1} edges, got {len(self.edges)}"
+            )
+        parent = list(range(n + 1))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in self.edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                raise ValueError(f"edge ({u},{v}) closes a cycle")
+            parent[ru] = rv
+
+    def degrees(self) -> tuple[int, ...]:
+        degs = [0] * (self.vertex_count + 1)
+        for u, v in self.edges:
+            degs[u] += 1
+            degs[v] += 1
+        return tuple(degs[1:])
+
+
+def pruefer_decode(seq: PrueferSequence, n: int) -> Tree:
+    """Decode a Prüfer sequence into its unique labeled tree on 1..n.
+
+    Classical bijection: for each entry in turn, attach the smallest-labeled
+    current leaf (a vertex of degree 1) to it and remove that leaf.  Vertex n
+    is never the smallest leaf, so the last two vertices left are the
+    smallest remaining leaf and n, which form the final edge.
+    """
+    if n < 2:
+        raise ValueError(f"decoding requires n >= 2, got {n}")
+    if len(seq) != n - 2:
+        raise ValueError(f"sequence length {len(seq)} != n - 2 = {n - 2}")
+    for entry in seq:
+        if not 1 <= entry <= n:
+            raise ValueError(f"sequence entry {entry} out of range 1..{n}")
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1, 1)
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[leaf] = 0
+        degree[v] -= 1
+    edges.append((degree.index(1, 1), n))
+    return Tree(n, tuple(edges))
 
 
 def all_odd(degrees):
@@ -27,7 +108,7 @@ def all_odd(degrees):
 
 @lru_cache(maxsize=None)
 def naive_bipartite_profiles(m, n):
-    """Reference loop: decode every sequence via the public pruefer_decode,
+    """Reference loop: decode every sequence via pruefer_decode above,
     keep the trees with no edge inside a side, and list their per-side
     degree tuples.  Independent of the depth-first edge search in the
     oracles module."""
