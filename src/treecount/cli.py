@@ -21,8 +21,10 @@ K_{m,n}), which bounds every count.  They and, for odd counts, the work of
 the binomial sums (MAX_KERNEL_BITS) are checked before any arithmetic; a
 query above either is a usage error.  signsum is held to the same two bounds:
 the digits of 2**n * (sum |a_i|)**power, which bounds the sum, and the work of
-the mode it runs.  decimal_string renders huge counts in subquadratic time.
-table prints rows as computed: `| head` stops it at once.
+the mode it runs.  Before its first row, table also sums the work of its rows
+against MAX_TABLE_WORK, and stops at the first row that crosses it.
+decimal_string renders huge counts in subquadratic time.  table prints rows
+as computed: `| head` stops it at once.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ MAX_DIGITS = 1_000_000
 # at p = 0).  Terms times bits over an odd count's sums stays below this: odd-complete
 # n = 5,460 and odd-bipartite m = n = 3,931 take about 2.5 s (2-core Xeon, Python 3.11).
 MAX_KERNEL_BITS = 200_000_000
+
+# A table's work, summed over its rows as _check_table_work prices them.  The odd-complete
+# n = 5,460 row alone costs 1.40e11 and a million-digit total 1.08e11, so every count
+# admitted above is also admitted as a one-row table.  odd-complete 2..600 costs 4.8e10 and
+# takes 0.4 s; the largest tables admitted, odd-complete 2..808, odd-bipartite 1..187,
+# bipartite 1..341 and complete 1..3,690, take 1.0, 2.1, 3.1 and 4.0 s (2-core Xeon,
+# Python 3.11).
+MAX_TABLE_WORK = 150_000_000_000
 
 # From this many bits on, decimal_string's divide and conquer beats str(int):
 # str wins at 20,000 bits and loses from 40,000.
@@ -88,6 +98,24 @@ def decimal_string(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
+def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
+    """The digits of the family's total, and the terms and bits of each odd-count sum.
+
+    The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}; the odd
+    count sums binomial_power_sum(n, n-2), or (m, n-1) and (n, m-1).  A sum
+    (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits (one k-bit term at p = 0).
+    """
+    if len(sizes) == 1:
+        (n,) = sizes
+        digits = (n - 2) * math.log10(n)
+        kernels = [(n, n - 2)]
+    else:
+        m, n = sizes
+        digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
+        kernels = [(m, n - 1), (n, m - 1)]
+    return digits, [((k + 1) // 2 if p else 1, k + p * math.log2(k)) for k, p in kernels]
+
+
 def _check_bounds(family: str, sizes: Sequence[int]) -> None:
     """Reject a query above MAX_DIGITS digits or, for odd counts, MAX_KERNEL_BITS.
 
@@ -97,24 +125,42 @@ def _check_bounds(family: str, sizes: Sequence[int]) -> None:
     """
     if min(sizes) < 1:
         return  # the formula rejects the size itself
-    if len(sizes) == 1:  # K_n: n**(n-2); odd: binomial_power_sum(n, n-2)
-        (n,) = sizes
-        digits = (n - 2) * math.log10(n)
-        kernels = [(n, n - 2)]
-    else:  # K_{m,n}: m**(n-1) * n**(m-1); odd: the sums (m, n-1) and (n, m-1)
-        m, n = sizes
-        digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
-        kernels = [(m, n - 1), (n, m - 1)]
+    digits, sums = _measures(sizes)
     if digits > MAX_DIGITS:
         raise SizeLimitError(
             f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
-    work = sum(((k + 1) // 2 if p else 1) * (k + p * math.log2(k)) for k, p in kernels)
+    work = sum(terms * bits for terms, bits in sums)
     if family.startswith("odd-") and work > MAX_KERNEL_BITS:
         raise SizeLimitError(
             f"an odd count summing about {work:.3g} bits of terms is above"
             f" the bound of {MAX_KERNEL_BITS:,}"
         )
+
+
+def _check_table_work(family: str, start: int, stop: int) -> None:
+    """Reject a table whose rows' work sums above MAX_TABLE_WORK.
+
+    A row costs terms * bits**1.585 (Karatsuba multiplication) for each sum of
+    an odd count, or for the one power of a total; four such terms of the
+    count's bits for its decimal rendering; and its digits.  The sum stops at
+    the first row that crosses the bound, so a huge table is rejected after a
+    few of its rows.
+    """
+    parameters = verify.FAMILIES[family][0]
+    odd = family.startswith("odd-")
+    work = 0.0
+    for sizes in product(range(start, stop + 1), repeat=len(parameters)):
+        digits, sums = _measures(sizes)
+        bits = digits * math.log2(10)
+        priced = sums if odd else [(1, bits)]
+        work += sum(terms * b**1.585 for terms, b in priced) + 4 * bits**1.585 + digits
+        if work > MAX_TABLE_WORK:
+            row = ", ".join(f"{name}={size}" for name, size in zip(parameters, sizes))
+            raise SizeLimitError(
+                f"a table costing about {work:.3g} units of work by its row {row}"
+                f" is above the bound of {MAX_TABLE_WORK:,}"
+            )
 
 
 def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
@@ -303,6 +349,7 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
     parameters, formula, _ = verify.FAMILIES[family]
     _check_bounds(family, [stop] * len(parameters))  # the largest cell bounds every other
+    _check_table_work(family, start, stop)
     if fmt == "csv":
         yield ",".join((*parameters, "count"))
     for sizes in product(range(start, stop + 1), repeat=len(parameters)):

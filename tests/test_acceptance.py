@@ -6,8 +6,8 @@ arithmetic, so the tolerance is zero everywhere.
 
 Expected runtimes below are for commodity hardware.  The oracle module
 caches one brute-force tally per graph -- all n**(n-2) Prüfer sequences
-for K_n, every spanning tree of K_{m,n} reached by a depth-first edge
-search, the largest being the 32,000 trees of K_{4,5} -- and the criteria
+for K_n, every spanning tree of K_{m,n} reached one side-A vertex at a
+time, the largest being the 32,000 trees of K_{4,5} -- and the criteria
 share those tallies.
 """
 

@@ -13,7 +13,9 @@ from treecount.cli import (
     MAX_DIGITS,
     decimal_string,
     MAX_KERNEL_BITS,
+    MAX_TABLE_WORK,
     _check_bounds,
+    _check_table_work,
     _check_signsum_bounds,
     main,
     table_lines,
@@ -260,6 +262,50 @@ class TestKernelBound:
         assert "digits is above the bound" in err
 
 
+class TestTableBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--family", "odd-complete", "--from", "2", "--to", "5460"],
+            ["table", "--family", "bipartite", "--from", "1", "--to", "3000"],
+        ],
+        ids=" ".join,
+    )
+    def test_table_above_the_bound_exits_two_at_once(self, argv):
+        # each cell passes both single-count bounds; the whole table is too much
+        proc = subprocess.run(
+            [sys.executable, "-m", "treecount", *argv],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: a table costing about ")
+        assert proc.stderr.endswith(f"is above the bound of {MAX_TABLE_WORK:,}\n")
+
+    @pytest.mark.parametrize(
+        "family, size",
+        [("odd-complete", 5460), ("odd-bipartite", 3931), ("complete", 189483), ("bipartite", 100000)],
+    )
+    def test_admits_every_row_a_count_admits(self, family, size):
+        _check_table_work(family, size, size)
+
+    @pytest.mark.parametrize("top", range(598, 603))
+    def test_admits_the_huge_counts_table(self, top):
+        _check_table_work("odd-complete", 2, top)
+
+    @pytest.mark.parametrize(
+        "family, start, top", [("odd-complete", 2, 808), ("complete", 1, 3690), ("bipartite", 1, 341)]
+    )
+    def test_bound_falls_between_two_tables(self, family, start, top):
+        _check_table_work(family, start, top)
+        with pytest.raises(ValueError):
+            _check_table_work(family, start, top + 1)
+
+    def test_stops_at_the_first_row_over_the_bound(self):
+        # 10**10 rows; the first 100,000 cost almost nothing (K_{1,n} has one tree)
+        with pytest.raises(ValueError, match="by its row m=2, n="):
+            _check_table_work("bipartite", 1, 100000)
+
+
 class TestInternalError:
     def test_inexact_division_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(formulas, "binomial_power_sum", lambda n, power: 1)
@@ -437,16 +483,16 @@ class TestTable:
         ]
 
     def test_closed_stdout_stops_a_long_table_at_once(self):
-        # the whole table would take minutes; its first lines print as they come
+        # the largest complete table admitted takes seconds; its first lines print as they come
         proc = subprocess.Popen(
-            [sys.executable, "-m", "treecount", "table", "--family", "bipartite",
-             "--from", "1", "--to", "3000"],
+            [sys.executable, "-m", "treecount", "table", "--family", "complete",
+             "--from", "1", "--to", "3690"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
         try:
-            assert proc.stdout.readline() == b"m,n,count\n"
-            assert proc.stdout.readline() == b"1,1,1\n"
+            assert proc.stdout.readline() == b"n,count\n"
+            assert proc.stdout.readline() == b"1,1\n"
             proc.stdout.close()
             assert proc.wait(timeout=10) == 141
             assert proc.stderr.read() == b""
@@ -570,6 +616,11 @@ class TestOracle:
     def test_complete_odd_filter(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "complete", "--n", "6", "--odd")
         assert (code, out) == (0, "96\n")
+
+    def test_complete_at_the_brute_force_limit(self, capsys):
+        # K_9: 9**7 trees, and no odd one, since nine odd degrees cannot sum to 16
+        assert run_cli(capsys, "oracle", "complete", "--n", "9") == (0, "4782969\n", "")
+        assert run_cli(capsys, "oracle", "complete", "--n", "9", "--odd") == (0, "0\n", "")
 
     def test_complete_degree_filter(self, capsys):
         code, out, _ = run_cli(

@@ -2,7 +2,9 @@
 
 Tree and pruefer_decode are the references the oracles are checked
 against: a validated labeled tree and the classical Prüfer decoder.  The
-oracles themselves never decode a sequence, so both live here.
+oracles themselves never decode a sequence, so both live here, with the
+depth-first searches that built both degree tallies before the layered and
+one-A-vertex-at-a-time ones.
 """
 
 import math
@@ -148,6 +150,69 @@ def reference_complete_tally(n):
             degree[v] += 1
         tally[(tuple(degree[1:]),)] += 1
     return dict(tally)
+
+
+def dfs_complete_tally(n):
+    """Reference depth-first search: append one label per sequence position
+    to one degree array (1 plus the occurrences so far), raising a degree on
+    the way down and lowering it on the way back; each full sequence is one
+    leaf."""
+    if n == 1:
+        return {((0,),): 1}
+    tally: dict[tuple[int, ...], int] = {}
+    degree = [1] * (n + 1)
+    labels = range(1, n + 1)
+
+    def extend(remaining: int) -> None:
+        if remaining == 0:
+            profile = tuple(degree[1:])
+            tally[profile] = tally.get(profile, 0) + 1
+            return
+        for v in labels:
+            degree[v] += 1
+            extend(remaining - 1)
+            degree[v] -= 1
+
+    extend(n - 2)
+    return {(profile,): count for profile, count in tally.items()}
+
+
+def dfs_bipartite_tally(m, n):
+    """Reference depth-first search over the sorted edges, in the order that
+    combinations() lists the (m+n-1)-subsets, with a union-find that undoes
+    each union on the way back.  An edge whose ends are already connected
+    closes a cycle, so it is skipped, and with it every subset containing
+    it; a search that reaches m+n-1 edges holds a spanning tree."""
+    edges = sorted(LabeledGraph.complete_bipartite(m, n).edges)
+    tally: dict[tuple[int, ...], int] = {}
+    degree = [0] * (m + n + 1)
+    parent = list(range(m + n + 1))
+
+    def find(x: int) -> int:  # no path compression, so every union undoes
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def extend(start: int, missing: int) -> None:
+        if missing == 0:
+            profile = tuple(degree[1:])
+            tally[profile] = tally.get(profile, 0) + 1
+            return
+        for i in range(start, len(edges) - missing + 1):
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:  # closes a cycle
+                continue
+            parent[ru] = rv
+            degree[u] += 1
+            degree[v] += 1
+            extend(i + 1, missing - 1)
+            degree[u] -= 1
+            degree[v] -= 1
+            parent[ru] = ru
+
+    extend(0, m + n - 1)
+    return {(profile[:m], profile[m:]): count for profile, count in tally.items()}
 
 
 def naive_bipartite_count(m, n, predicate=None):
@@ -388,8 +453,11 @@ class TestCompleteBruteForce:
             assert count_trees_complete_brute(n, all_odd) == by_decode
 
 
-# every side split (m, n) with m + n <= 7
+# every side split (m, n) with m + n <= 7, and with m + n <= BRUTE_FORCE_LIMIT
 SMALL_SPLITS = [(m, total - m) for total in range(2, 8) for m in range(1, total)]
+BRUTE_FORCE_SPLITS = [
+    (m, total - m) for total in range(2, oracles.BRUTE_FORCE_LIMIT + 1) for m in range(1, total)
+]
 
 
 class TestBipartiteBruteForce:
@@ -432,7 +500,10 @@ class TestBipartiteBruteForce:
 
 
 class TestDegreeTallies:
-    """The depth-first tallies against the loops they replaced, key for key."""
+    """The layered K_n tally and the one-A-vertex-at-a-time K_{m,n} tally,
+    key for key, against the depth-first searches they replaced (every
+    n <= 8 and m + n <= 9) and the plain loops those replaced (n <= 7 and
+    m + n <= 8); and each tally's trees number the graph's Matrix-Tree count."""
 
     @pytest.mark.parametrize(
         "m, n", [(m, total - m) for total in range(2, 9) for m in range(1, total)]
@@ -443,6 +514,24 @@ class TestDegreeTallies:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_complete_matches_sequence_loop(self, n):
         assert oracles._complete_degree_tally(n) == reference_complete_tally(n)
+
+    @pytest.mark.parametrize("m, n", BRUTE_FORCE_SPLITS)
+    def test_bipartite_matches_depth_first_search(self, m, n):
+        assert oracles._bipartite_degree_tally(m, n) == dfs_bipartite_tally(m, n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complete_matches_depth_first_search(self, n):
+        assert oracles._complete_degree_tally(n) == dfs_complete_tally(n)
+
+    @pytest.mark.parametrize("m, n", BRUTE_FORCE_SPLITS)
+    def test_bipartite_trees_number_the_matrix_tree_count(self, m, n):
+        tally = oracles._bipartite_degree_tally(m, n)
+        assert sum(tally.values()) == matrix_tree_count(LabeledGraph.complete_bipartite(m, n))
+
+    @pytest.mark.parametrize("n", range(1, oracles.BRUTE_FORCE_LIMIT + 1))
+    def test_complete_trees_number_the_matrix_tree_count(self, n):
+        tally = oracles._complete_degree_tally(n)
+        assert sum(tally.values()) == matrix_tree_count(LabeledGraph.complete(n))
 
 
 class TestBareissDeterminant:
