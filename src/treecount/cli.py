@@ -58,7 +58,10 @@ MAX_KERNEL_BITS = 200_000_000
 # admitted above is also admitted as a one-row table.  odd-complete 2..600 costs 4.8e10 and
 # takes 0.4 s; the largest tables admitted, odd-complete 2..808, odd-bipartite 1..187,
 # bipartite 1..341 and complete 1..3,690, take 1.0, 2.1, 3.1 and 4.0 s (2-core Xeon,
-# Python 3.11).
+# Python 3.11).  The rendering weight of four kernel terms is a rough midpoint, not a fit:
+# decimal_string measured at 3.5 to 13 terms of its count's bits for odd-complete
+# n = 100..4,000 and at 0.8 to 8.4 for complete n = 100..20,000 (same machine).  Single
+# counts keep the terms * bits rule of MAX_KERNEL_BITS.
 MAX_TABLE_WORK = 150_000_000_000
 
 # From this many bits on, decimal_string's divide and conquer beats str(int):
