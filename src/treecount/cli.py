@@ -17,12 +17,12 @@ matrix-tree takes graphs of at most MATRIX_TREE_LIMIT vertices.
 
 count <family> and table print counts of at most MAX_DIGITS digits: the
 digits of the family's total (n**(n-2) for K_n, m**(n-1) * n**(m-1) for
-K_{m,n}), which bounds every count.  They and, for odd counts, the work of
-the binomial sums (MAX_KERNEL_BITS) are checked before any arithmetic; a
-query above either is a usage error.  signsum is held to the same two bounds:
-the digits of 2**n * (sum |a_i|)**power, which bounds the sum, and the work of
-the mode it runs.  Before its first row, table also sums the work of its rows
-against MAX_TABLE_WORK, and stops at the first row that crosses it.
+K_{m,n}), which bounds every count.  They also sum the work of their rows,
+a count being a one-row table, against MAX_WORK, and stop at the first row
+that crosses it.  Both are checked before any arithmetic; a query above
+either is a usage error.  signsum is held to MAX_DIGITS on 2**n *
+(sum |a_i|)**power, which bounds the sum, and to MAX_KERNEL_BITS on the
+work of the mode it runs.
 decimal_string renders huge counts in subquadratic time.  table prints rows
 as computed: `| head` stops it at once.
 """
@@ -48,21 +48,23 @@ MATRIX_TREE_LIMIT = 100
 # (2-core Xeon, Python 3.11); K_n at n = 10**9 would never finish.
 MAX_DIGITS = 1_000_000
 
-# binomial_power_sum(n, p) sums (n + 1) // 2 terms of n + p*log2(n) bits (one n-bit term
-# at p = 0).  Terms times bits over an odd count's sums stays below this: odd-complete
-# n = 5,460 and odd-bipartite m = n = 3,931 take about 2.5 s (2-core Xeon, Python 3.11).
-MAX_KERNEL_BITS = 200_000_000
+# The work of a query's counts, summed over its rows as _check_bounds prices them: a count
+# is a one-row table.  The largest single odd counts admitted, odd-complete n = 5,593 and
+# odd-bipartite m = n = 4,348, take about 2.1 and 2.2 s, and the rest of odd-bipartite's
+# frontier, m = 3..20,001, 0.2 to 2.6 s.  A million-digit total costs 1.08e11, so totals
+# meet the digit bound first.  odd-complete 2..600 costs 4.8e10 and takes 0.4 s; the
+# largest tables admitted, odd-complete 2..808, odd-bipartite 1..187, bipartite 1..341 and
+# complete 1..3,690, take 1.0, 2.1, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
+# rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
+# measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
+# 0.8 to 8.4 for complete n = 100..20,000 (same machine).
+MAX_WORK = 150_000_000_000
 
-# A table's work, summed over its rows as _check_table_work prices them.  The odd-complete
-# n = 5,460 row alone costs 1.40e11 and a million-digit total 1.08e11, so every count
-# admitted above is also admitted as a one-row table.  odd-complete 2..600 costs 4.8e10 and
-# takes 0.4 s; the largest tables admitted, odd-complete 2..808, odd-bipartite 1..187,
-# bipartite 1..341 and complete 1..3,690, take 1.0, 2.1, 3.1 and 4.0 s (2-core Xeon,
-# Python 3.11).  The rendering weight of four kernel terms is a rough midpoint, not a fit:
-# decimal_string measured at 3.5 to 13 terms of its count's bits for odd-complete
-# n = 100..4,000 and at 0.8 to 8.4 for complete n = 100..20,000 (same machine).  Single
-# counts keep the terms * bits rule of MAX_KERNEL_BITS.
-MAX_TABLE_WORK = 150_000_000_000
+# signsum alone keeps terms times bits: priced as a count, terms * bits**1.585 against
+# MAX_WORK, --coeffs 1 --mode multinomial would be admitted up to power 1,926, and it
+# takes 6.9 s at power 1,400 against 1.4 s at 924, the largest power admitted here
+# (same machine).
+MAX_KERNEL_BITS = 200_000_000
 
 # From this many bits on, decimal_string's divide and conquer beats str(int):
 # str wins at 20,000 bits and loses from 40,000.
@@ -106,7 +108,8 @@ def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
 
     The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}; the odd
     count sums binomial_power_sum(n, n-2), or (m, n-1) and (n, m-1).  A sum
-    (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits (one k-bit term at p = 0).
+    (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, and nothing at p = 0,
+    where formulas._bracket returns 1 without summing.
     """
     if len(sizes) == 1:
         (n,) = sizes
@@ -116,53 +119,42 @@ def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
         m, n = sizes
         digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
         kernels = [(m, n - 1), (n, m - 1)]
-    return digits, [((k + 1) // 2 if p else 1, k + p * math.log2(k)) for k, p in kernels]
+    return digits, [((k + 1) // 2 if p else 0, k + p * math.log2(k)) for k, p in kernels]
 
 
-def _check_bounds(family: str, sizes: Sequence[int]) -> None:
-    """Reject a query above MAX_DIGITS digits or, for odd counts, MAX_KERNEL_BITS.
+def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:
+    """Reject the counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
-    Odd and degree-constrained counts never exceed the family's total, so its
-    digit count, from logarithms alone, bounds every count of the family.  Both
-    measures grow with every size, so a table's largest cell bounds the rest.
+    The counts are those of every size tuple between the two, one row each, so
+    a single count is the one-row table first == last.  Odd and
+    degree-constrained counts never exceed the family's total, so the digits
+    of the last row's total, from logarithms alone, bound every count.  A row
+    costs terms * bits**1.585 (Karatsuba multiplication) for each sum of an
+    odd count, or for the one power of a total; four such terms of the count's
+    bits for its decimal rendering; and its digits.  The sum stops at the
+    first row that crosses the bound, so a huge table is rejected after a few
+    of its rows.
     """
-    if min(sizes) < 1:
+    if min(first) < 1:
         return  # the formula rejects the size itself
-    digits, sums = _measures(sizes)
+    digits, _ = _measures(last)
     if digits > MAX_DIGITS:
         raise SizeLimitError(
             f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
-    work = sum(terms * bits for terms, bits in sums)
-    if family.startswith("odd-") and work > MAX_KERNEL_BITS:
-        raise SizeLimitError(
-            f"an odd count summing about {work:.3g} bits of terms is above"
-            f" the bound of {MAX_KERNEL_BITS:,}"
-        )
-
-
-def _check_table_work(family: str, start: int, stop: int) -> None:
-    """Reject a table whose rows' work sums above MAX_TABLE_WORK.
-
-    A row costs terms * bits**1.585 (Karatsuba multiplication) for each sum of
-    an odd count, or for the one power of a total; four such terms of the
-    count's bits for its decimal rendering; and its digits.  The sum stops at
-    the first row that crosses the bound, so a huge table is rejected after a
-    few of its rows.
-    """
     parameters = verify.FAMILIES[family][0]
     odd = family.startswith("odd-")
     work = 0.0
-    for sizes in product(range(start, stop + 1), repeat=len(parameters)):
+    for sizes in product(*(range(a, b + 1) for a, b in zip(first, last))):
         digits, sums = _measures(sizes)
         bits = digits * math.log2(10)
         priced = sums if odd else [(1, bits)]
         work += sum(terms * b**1.585 for terms, b in priced) + 4 * bits**1.585 + digits
-        if work > MAX_TABLE_WORK:
+        if work > MAX_WORK:
             row = ", ".join(f"{name}={size}" for name, size in zip(parameters, sizes))
             raise SizeLimitError(
-                f"a table costing about {work:.3g} units of work by its row {row}"
-                f" is above the bound of {MAX_TABLE_WORK:,}"
+                f"a query costing about {work:.3g} units of work by its row {row}"
+                f" is above the bound of {MAX_WORK:,}"
             )
 
 
@@ -304,7 +296,7 @@ def _run_count(args) -> int:
     if args.family in verify.FAMILIES:
         parameters, formula, _ = verify.FAMILIES[args.family]
         sizes = _read(args, f"count {args.family}", parameters)
-        _check_bounds(args.family, sizes)
+        _check_bounds(args.family, sizes, sizes)
         value = formula(*sizes)
     elif args.degrees is not None:
         degrees = _read(args, "count degrees --degrees", ("degrees",))
@@ -351,8 +343,7 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
     if start < 1 or start > stop:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
     parameters, formula, _ = verify.FAMILIES[family]
-    _check_bounds(family, [stop] * len(parameters))  # the largest cell bounds every other
-    _check_table_work(family, start, stop)
+    _check_bounds(family, [start] * len(parameters), [stop] * len(parameters))
     if fmt == "csv":
         yield ",".join((*parameters, "count"))
     for sizes in product(range(start, stop + 1), repeat=len(parameters)):

@@ -101,9 +101,7 @@ def odd_spanning_trees_complete(n: int) -> int:
     vertex has even degree 0.
     """
     _check_size(n, "n")
-    if n == 1:
-        return 0
-    return exact_div(binomial_power_sum(n, n - 2), 1 << n)
+    return 0 if n == 1 else _bracket(n, n - 2)
 
 
 def odd_spanning_trees_complete_by_sum(n: int) -> int:

@@ -14,9 +14,8 @@ from treecount.cli import (
     MAX_DIGITS,
     decimal_string,
     MAX_KERNEL_BITS,
-    MAX_TABLE_WORK,
+    MAX_WORK,
     _check_bounds,
-    _check_table_work,
     _check_signsum_bounds,
     main,
     table_lines,
@@ -213,14 +212,24 @@ class TestDigitBound:
     def test_bound_is_the_total_not_the_size(self, capsys):
         # K_{1,n} is a star: one spanning tree however large n is
         assert run_cli(capsys, "count", "bipartite", "--m", "1", "--n", "1000000000") == (0, "1\n", "")
+        # its centre has degree n, so the star is odd exactly when n is
+        for m, n, count in [(1, 10**9, 0), (10**9, 1, 0), (1, 10**9 + 1, 1)]:
+            argv = ["count", "odd-bipartite", "--m", str(m), "--n", str(n)]
+            assert run_cli(capsys, *argv) == (0, f"{count}\n", "")
+
+
+def check_table(family, start, stop):
+    """table_lines checks its bounds before it yields its first line."""
+    next(table_lines(family, start, stop, "csv"))
 
 
 class TestKernelBound:
+    """Single counts under the one work bound: a count is priced as its one-row table."""
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["count", "odd-complete", "--n", "10000"],
-            ["count", "odd-bipartite", "--m", "1", "--n", "400000001"],
             ["count", "odd-bipartite", "--m", "5000", "--n", "5001"],
             ["table", "--family", "odd-complete", "--from", "2", "--to", "10000"],
         ],
@@ -232,8 +241,8 @@ class TestKernelBound:
             capture_output=True, text=True, timeout=10,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: an odd count summing about ")
-        assert proc.stderr.endswith(f"bits of terms is above the bound of {MAX_KERNEL_BITS:,}\n")
+        assert proc.stderr.startswith("error: a query costing about ")
+        assert proc.stderr.endswith(f"is above the bound of {MAX_WORK:,}\n")
 
     @pytest.mark.parametrize(
         "family, sizes",
@@ -247,20 +256,45 @@ class TestKernelBound:
         ],
     )
     def test_admits_the_huge_counts_sizes_and_totals(self, family, sizes):
-        _check_bounds(family, sizes)
+        _check_bounds(family, sizes, sizes)
 
     def test_bound_grows_with_every_size(self):
-        # odd-complete is admitted up to n = 5,460 and rejected from 5,461, at any parity
-        for n in (5459, 5460):
-            _check_bounds("odd-complete", [n])
-        for n in (5461, 5462):
+        # odd-complete is admitted up to n = 5,593 and odd-bipartite up to m = n = 4,348,
+        # and each is rejected one above, at either parity
+        for n in (5592, 5593):
+            _check_bounds("odd-complete", [n], [n])
+        for n in (4347, 4348):
+            _check_bounds("odd-bipartite", [n, n], [n, n])
+        for n in (5594, 5595):
             with pytest.raises(ValueError):
-                _check_bounds("odd-complete", [n])
+                _check_bounds("odd-complete", [n], [n])
+        for n in (4349, 4350):
+            with pytest.raises(ValueError):
+                _check_bounds("odd-bipartite", [n, n], [n, n])
 
     def test_digit_bound_is_checked_first(self, capsys):
         code, out, err = run_cli(capsys, "count", "odd-complete", "--n", "1000000000")
         assert_usage_error(code, out, err)
         assert "digits is above the bound" in err
+
+    @pytest.mark.parametrize(
+        "family, frontier",
+        [("odd-complete", 5593), ("odd-bipartite", 4348), ("complete", 189483), ("bipartite", 100000)],
+    )
+    def test_count_exits_two_exactly_when_its_one_row_table_does(
+        self, capsys, monkeypatch, family, frontier
+    ):
+        parameters, _, oracles = verify.FAMILIES[family]
+        # the bound is checked before the formula runs, so a stub formula keeps this fast
+        monkeypatch.setitem(verify.FAMILIES, family, (parameters, lambda *sizes: 0, oracles))
+        codes = set()
+        for size in range(frontier - 2, frontier + 3):
+            sizes = [arg for name in parameters for arg in (f"--{name}", str(size))]
+            count = run_cli(capsys, "count", family, *sizes)[0]
+            table = run_cli(capsys, "table", "--family", family, "--from", str(size), "--to", str(size))[0]
+            assert count == table, size
+            codes.add(count)
+        assert codes == {0, 2}
 
 
 class TestTableBound:
@@ -273,38 +307,40 @@ class TestTableBound:
         ids=" ".join,
     )
     def test_table_above_the_bound_exits_two_at_once(self, argv):
-        # each cell passes both single-count bounds; the whole table is too much
+        # each cell passes as a single count; the whole table is too much
         proc = subprocess.run(
             [sys.executable, "-m", "treecount", *argv],
             capture_output=True, text=True, timeout=10,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: a table costing about ")
-        assert proc.stderr.endswith(f"is above the bound of {MAX_TABLE_WORK:,}\n")
+        assert proc.stderr.startswith("error: a query costing about ")
+        assert proc.stderr.endswith(f"is above the bound of {MAX_WORK:,}\n")
 
     @pytest.mark.parametrize(
         "family, size",
         [("odd-complete", 5460), ("odd-bipartite", 3931), ("complete", 189483), ("bipartite", 100000)],
     )
     def test_admits_every_row_a_count_admits(self, family, size):
-        _check_table_work(family, size, size)
+        # the largest single counts that terms * bits admitted before counts were priced as tables
+        check_table(family, size, size)
 
     @pytest.mark.parametrize("top", range(598, 603))
     def test_admits_the_huge_counts_table(self, top):
-        _check_table_work("odd-complete", 2, top)
+        check_table("odd-complete", 2, top)
 
     @pytest.mark.parametrize(
-        "family, start, top", [("odd-complete", 2, 808), ("complete", 1, 3690), ("bipartite", 1, 341)]
+        "family, start, top",
+        [("odd-complete", 2, 808), ("odd-bipartite", 1, 187), ("complete", 1, 3690), ("bipartite", 1, 341)],
     )
     def test_bound_falls_between_two_tables(self, family, start, top):
-        _check_table_work(family, start, top)
+        check_table(family, start, top)
         with pytest.raises(ValueError):
-            _check_table_work(family, start, top + 1)
+            check_table(family, start, top + 1)
 
     def test_stops_at_the_first_row_over_the_bound(self):
         # 10**10 rows; the first 100,000 cost almost nothing (K_{1,n} has one tree)
         with pytest.raises(ValueError, match="by its row m=2, n="):
-            _check_table_work("bipartite", 1, 100000)
+            check_table("bipartite", 1, 100000)
 
 
 class TestInternalError:
