@@ -49,12 +49,13 @@ MATRIX_TREE_LIMIT = 100
 MAX_DIGITS = 1_000_000
 
 # The work of a query's counts, summed over its rows as _check_bounds prices them: a count
-# is a one-row table.  The largest single odd counts admitted, odd-complete n = 5,593 and
-# odd-bipartite m = n = 4,348, take about 2.1 and 2.2 s, and the rest of odd-bipartite's
-# frontier, m = 3..20,001, 0.2 to 2.6 s.  A million-digit total costs 1.08e11, so totals
-# meet the digit bound first.  odd-complete 2..600 costs 4.8e10 and takes 0.4 s; the
-# largest tables admitted, odd-complete 2..808, odd-bipartite 1..187, bipartite 1..341 and
-# complete 1..3,690, take 1.0, 2.1, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
+# is a one-row table.  The largest nonzero odd counts admitted, odd-complete n = 5,592 and
+# odd-bipartite m = n = 4,347, take about 2 to 3 s, and the rest of odd-bipartite's
+# frontier, odd m = 3..20,001, 0.2 to 2.6 s.  A million-digit total costs 1.08e11, so
+# totals meet the digit bound first, and so do odd counts with an odd power, which are 0
+# and cost only their rendering.  odd-complete 2..600 costs 4.8e10 and takes 0.4 s; the
+# largest tables admitted, odd-complete 2..969, odd-bipartite 1..242, bipartite 1..341 and
+# complete 1..3,690, take 2.6, 3.6, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
 # rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
 # measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
 # 0.8 to 8.4 for complete n = 100..20,000 (same machine).
@@ -108,8 +109,9 @@ def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
 
     The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}; the odd
     count sums binomial_power_sum(n, n-2), or (m, n-1) and (n, m-1).  A sum
-    (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, and nothing at p = 0,
-    where formulas._bracket returns 1 without summing.
+    (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits.  It adds nothing at
+    p = 0, where formulas._bracket returns 1 without summing, nor when any of
+    the count's powers is odd: that count is 0, returned without summing.
     """
     if len(sizes) == 1:
         (n,) = sizes
@@ -119,7 +121,10 @@ def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
         m, n = sizes
         digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
         kernels = [(m, n - 1), (n, m - 1)]
-    return digits, [((k + 1) // 2 if p else 0, k + p * math.log2(k)) for k, p in kernels]
+    free = any(p % 2 for _, p in kernels)
+    return digits, [
+        (0 if free or not p else (k + 1) // 2, k + p * math.log2(k)) for k, p in kernels
+    ]
 
 
 def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:

@@ -125,10 +125,13 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     Evaluates the product of the two one-sided binomial sums divided by
     2**(m+n), exactly, each sum divided by 2**side first.  Whenever m or n
     is even the count is 0, forced by the handshaking parity of the side
-    degree sums.
+    degree sums: the other side's power is odd, its sum is 0, and the
+    product is returned as 0 without summing either bracket.
     """
     _check_size(m, "m")
     _check_size(n, "n")
+    if m % 2 == 0 or n % 2 == 0:
+        return 0
     return _bracket(m, n - 1) * _bracket(n, m - 1)
 
 

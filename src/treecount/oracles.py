@@ -9,7 +9,9 @@ Three unrelated oracles, so a bug in one cannot hide in another:
 * an enumeration of the spanning trees of K_{m,n}, one side-A vertex at a
   time -- each picks its B-neighbours, at least one and at most one per
   component of the forest so far, and the last joins every component, so
-  each branch ends in a tree; the degree profile of each tree is tallied;
+  each sequence of picks is a tree -- built by layers over the A vertices,
+  the partial degree profiles that reach one partition of B into components
+  merged at each layer with their counts added;
 * the Matrix-Tree determinant of the reduced Laplacian, computed with
   fraction-free (Bareiss) elimination over exact integers.
 
@@ -27,7 +29,6 @@ built both tallies before.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
@@ -35,8 +36,9 @@ from typing import Callable, Iterable, Sequence
 from .combinatorics import SizeLimitError
 
 # The desk-scale ceiling: 9**7 (~4.8M) sequences tallied for K_9 in 6,435 merged degree
-# tuples (0.05 s); 32,000 trees reached for K_{4,5}, the largest bipartite tally (0.05 s),
-# and 92,134 over all m + n <= 9 (0.15 s; 2-core Xeon, Python 3.11).
+# tuples (0.05 s); the 32,000 trees of K_{4,5} or K_{5,4}, the largest bipartite tallies,
+# in 1,225 profiles (0.01 s), and every m + n <= 9 in 0.05 s.  The m + n = 10 splits would
+# add 0.17 s, K_{4,6} the slowest at 0.05 s (2-core Xeon, Python 3.11).
 BRUTE_FORCE_LIMIT = 9
 
 # called with the per-side degree tuples: one for K_n, two for K_{m,n}
@@ -122,31 +124,44 @@ def _bipartite_degree_tally(m: int, n: int) -> DegreeTally:
     vertices (every A vertex placed hangs on one).  A vertex picks at least
     one neighbour, since it must be reached, and at most one per component,
     since two in one would close a cycle; the last must pick exactly one in
-    every component, joining them all.  So no branch dead-ends and each
-    leaf is one spanning tree, met once.
+    every component, joining them all.  So every sequence of picks is one
+    spanning tree, met once.
+
+    Built by layers over the A vertices: a layer maps each partition of B
+    into components to the partial profiles that reach it, each with its
+    number of partial forests.  A vertex's picks from a chosen set of
+    components are listed once and added to every profile of the state, and
+    equal partitions and equal profiles merge, so K_{5,5}'s 390,625 trees
+    are tallied in 96,376 additions and end in 4,900 profiles.
 
     A profile is packed into one integer, a field per vertex wide enough for
-    any degree, so a pick adds its vertices' units and the last vertex's
-    picks are summed and tallied without a Python-level step per tree.
+    any degree, so a pick adds its vertices' units.  A pick takes one vertex
+    from each chosen component, and the components are disjoint, so distinct
+    picks add distinct sums.
     """
     width = max(m, n).bit_length()  # no degree exceeds the other side's size
     unit = [1 << (width * v) for v in range(m + n)]  # degree 1 at vertex v: A first, then B
-    packed: Counter[int] = Counter()
-
-    # a component holds the units of its B vertices, so the sum of a pick is its degrees
-
-    def attach(a: int, components: list[tuple[int, ...]], profile: int) -> None:
-        if a == m - 1:  # the last A vertex: one pick in every component
-            base = profile + len(components) * unit[a]
-            packed.update(map(base.__add__, map(sum, product(*components))))
-            return
-        for k in range(1, len(components) + 1):
-            for chosen in combinations(components, k):
-                joined = [sum(chosen, ()), *(c for c in components if c not in chosen)]
-                for picks in product(*chosen):
-                    attach(a + 1, joined, profile + k * unit[a] + sum(picks))
-
-    attach(0, [(unit[m + b],) for b in range(n)], 0)
+    # a component is the sorted units of its B vertices, a partition its sorted components
+    layer: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {
+        tuple((unit[m + b],) for b in range(n)): {0: 1}
+    }
+    for a in range(m):
+        extended: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
+        while layer:  # popped, so the two layers together hold about one layer's states
+            components, profiles = layer.popitem()
+            ks = [len(components)] if a == m - 1 else range(1, len(components) + 1)
+            for k in ks:
+                for chosen in combinations(components, k):
+                    rest = [c for c in components if c not in chosen]
+                    joined = tuple(sorted([tuple(sorted(sum(chosen, ()))), *rest]))
+                    picks = [k * unit[a] + s for s in map(sum, product(*chosen))]
+                    reached = extended.setdefault(joined, {})
+                    for profile, count in profiles.items():
+                        for pick in picks:
+                            key = profile + pick
+                            reached[key] = reached.get(key, 0) + count
+        layer = extended
+    (packed,) = layer.values()  # the last vertex joined every component into one
     mask = (1 << width) - 1
     tally: DegreeTally = {}
     for key, count in packed.items():

@@ -137,7 +137,8 @@ FAMILIES = {
         ("m", "n"),
         lambda m, n: spanning_trees_bipartite(m, n),
         {
-            # named for the edge-subset search it once was; reports keep the name
+            # the name matches neither the edge-subset search it once was nor the layered
+            # tally it is now, and is kept because the pinned verify report carries it
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n),
             "matrix-tree": lambda m, n: matrix_tree_count(
                 LabeledGraph.complete_bipartite(m, n)

@@ -230,7 +230,7 @@ class TestKernelBound:
         "argv",
         [
             ["count", "odd-complete", "--n", "10000"],
-            ["count", "odd-bipartite", "--m", "5000", "--n", "5001"],
+            ["count", "odd-bipartite", "--m", "5001", "--n", "5001"],
             ["table", "--family", "odd-complete", "--from", "2", "--to", "10000"],
         ],
         ids=" ".join,
@@ -259,18 +259,31 @@ class TestKernelBound:
         _check_bounds(family, sizes, sizes)
 
     def test_bound_grows_with_every_size(self):
-        # odd-complete is admitted up to n = 5,593 and odd-bipartite up to m = n = 4,348,
-        # and each is rejected one above, at either parity
-        for n in (5592, 5593):
+        # a count whose powers are all even is admitted up to odd-complete n = 5,592 and
+        # odd-bipartite m = n = 4,347, and rejected at the next two such sizes; a count with
+        # an odd power is 0 without any sum, and admitted on both sides of that frontier
+        for n in (5592, 5593, 5595):
             _check_bounds("odd-complete", [n], [n])
-        for n in (4347, 4348):
+        for n in (4347, 4348, 4350):
             _check_bounds("odd-bipartite", [n, n], [n, n])
-        for n in (5594, 5595):
+        for n in (5594, 5596):
             with pytest.raises(ValueError):
                 _check_bounds("odd-complete", [n], [n])
-        for n in (4349, 4350):
+        for n in (4349, 4351):
             with pytest.raises(ValueError):
                 _check_bounds("odd-bipartite", [n, n], [n, n])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["odd-complete", "--n", "5595"],
+            ["odd-bipartite", "--m", "4350", "--n", "4350"],
+            ["odd-bipartite", "--m", "4348", "--n", "4349"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_with_an_odd_power_prints_zero(self, capsys, argv):
+        assert run_cli(capsys, "count", *argv) == (0, "0\n", "")
 
     def test_digit_bound_is_checked_first(self, capsys):
         code, out, err = run_cli(capsys, "count", "odd-complete", "--n", "1000000000")
@@ -279,7 +292,7 @@ class TestKernelBound:
 
     @pytest.mark.parametrize(
         "family, frontier",
-        [("odd-complete", 5593), ("odd-bipartite", 4348), ("complete", 189483), ("bipartite", 100000)],
+        [("odd-complete", 5592), ("odd-bipartite", 4347), ("complete", 189483), ("bipartite", 100000)],
     )
     def test_count_exits_two_exactly_when_its_one_row_table_does(
         self, capsys, monkeypatch, family, frontier
@@ -330,7 +343,7 @@ class TestTableBound:
 
     @pytest.mark.parametrize(
         "family, start, top",
-        [("odd-complete", 2, 808), ("odd-bipartite", 1, 187), ("complete", 1, 3690), ("bipartite", 1, 341)],
+        [("odd-complete", 2, 969), ("odd-bipartite", 1, 242), ("complete", 1, 3690), ("bipartite", 1, 341)],
     )
     def test_bound_falls_between_two_tables(self, family, start, top):
         check_table(family, start, top)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecount import formulas
 from treecount.combinatorics import positive_compositions
 from treecount.formulas import (
     odd_spanning_trees_bipartite,
@@ -173,6 +174,20 @@ class TestOddSpanningTreesBipartite:
 
     def test_even_side_forces_zero(self):
         assert odd_spanning_trees_bipartite(2, 5) == 0
+
+    @pytest.mark.parametrize("m, n", [(4348, 4347), (4347, 4348), (4350, 4350)])
+    def test_even_side_sums_no_even_power(self, monkeypatch, m, n):
+        # an odd power's sum is 0, so the other bracket's full sum would be wasted
+        powers = []
+        original = formulas.binomial_power_sum
+
+        def recorded(side, power):
+            powers.append(power)
+            return original(side, power)
+
+        monkeypatch.setattr(formulas, "binomial_power_sum", recorded)
+        assert odd_spanning_trees_bipartite(m, n) == 0
+        assert [p for p in powers if p % 2 == 0] == []
 
     @given(st.integers(1, 20), st.integers(1, 20))
     def test_symmetry_and_parity(self, m, n):

@@ -453,10 +453,13 @@ class TestCompleteBruteForce:
             assert count_trees_complete_brute(n, all_odd) == by_decode
 
 
-# every side split (m, n) with m + n <= 7, and with m + n <= BRUTE_FORCE_LIMIT
+# every side split (m, n) with m + n <= 7, with m + n <= BRUTE_FORCE_LIMIT, and one above
 SMALL_SPLITS = [(m, total - m) for total in range(2, 8) for m in range(1, total)]
 BRUTE_FORCE_SPLITS = [
     (m, total - m) for total in range(2, oracles.BRUTE_FORCE_LIMIT + 1) for m in range(1, total)
+]
+TALLY_SPLITS = BRUTE_FORCE_SPLITS + [
+    (m, oracles.BRUTE_FORCE_LIMIT + 1 - m) for m in range(1, oracles.BRUTE_FORCE_LIMIT + 1)
 ]
 
 
@@ -500,10 +503,11 @@ class TestBipartiteBruteForce:
 
 
 class TestDegreeTallies:
-    """The layered K_n tally and the one-A-vertex-at-a-time K_{m,n} tally,
-    key for key, against the depth-first searches they replaced (every
-    n <= 8 and m + n <= 9) and the plain loops those replaced (n <= 7 and
-    m + n <= 8); and each tally's trees number the graph's Matrix-Tree count."""
+    """The layered K_n and K_{m,n} tallies, key for key, against the
+    depth-first searches that built them before (every n <= 8 and
+    m + n <= 9) and the plain loops those replaced (n <= 7 and m + n <= 8);
+    and each tally's trees number the graph's Matrix-Tree count, the
+    K_{m,n} tally's one size above the brute-force bound too."""
 
     @pytest.mark.parametrize(
         "m, n", [(m, total - m) for total in range(2, 9) for m in range(1, total)]
@@ -523,7 +527,7 @@ class TestDegreeTallies:
     def test_complete_matches_depth_first_search(self, n):
         assert oracles._complete_degree_tally(n) == dfs_complete_tally(n)
 
-    @pytest.mark.parametrize("m, n", BRUTE_FORCE_SPLITS)
+    @pytest.mark.parametrize("m, n", TALLY_SPLITS)
     def test_bipartite_trees_number_the_matrix_tree_count(self, m, n):
         tally = oracles._bipartite_degree_tally(m, n)
         assert sum(tally.values()) == matrix_tree_count(LabeledGraph.complete_bipartite(m, n))
