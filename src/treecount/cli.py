@@ -19,8 +19,9 @@ count <family> and table print counts of at most MAX_DIGITS digits: the
 digits of the family's total (n**(n-2) for K_n, m**(n-1) * n**(m-1) for
 K_{m,n}), which bounds every count.  They also sum the work of their rows,
 a count being a one-row table, against MAX_WORK, and stop at the first row
-that crosses it.  Both are checked before any arithmetic; a query above
-either is a usage error.  signsum is held to MAX_DIGITS on 2**n *
+that crosses it.  An odd count that is 0 by parity costs its one digit and
+is left out of the digit bound.  Both are checked before any arithmetic; a
+query above either is a usage error.  signsum is held to MAX_DIGITS on 2**n *
 (sum |a_i|)**power, which bounds the sum, and to MAX_KERNEL_BITS on the
 work of the mode it runs.
 decimal_string renders huge counts in subquadratic time.  table prints rows
@@ -52,10 +53,10 @@ MAX_DIGITS = 1_000_000
 # is a one-row table.  The largest nonzero odd counts admitted, odd-complete n = 5,592 and
 # odd-bipartite m = n = 4,347, take about 2 to 3 s, and the rest of odd-bipartite's
 # frontier, odd m = 3..20,001, 0.2 to 2.6 s.  A million-digit total costs 1.08e11, so
-# totals meet the digit bound first, and so do odd counts with an odd power, which are 0
-# and cost only their rendering.  odd-complete 2..600 costs 4.8e10 and takes 0.4 s; the
-# largest tables admitted, odd-complete 2..969, odd-bipartite 1..242, bipartite 1..341 and
-# complete 1..3,690, take 2.6, 3.6, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
+# totals meet the digit bound first.  Odd counts with an odd power are 0 and cost one
+# digit each, at any size.  odd-complete 2..600 costs 4.8e10 and takes 0.4 s; the
+# largest tables admitted, odd-complete 2..971, odd-bipartite 1..250, bipartite 1..341 and
+# complete 1..3,690, take 1.9, 3.2, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
 # rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
 # measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
 # 0.8 to 8.4 for complete n = 100..20,000 (same machine).
@@ -104,53 +105,69 @@ def decimal_string(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
+def _kernels(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """The sums binomial_power_sum(k, p) of the odd count: (n, n-2), or (m, n-1) and (n, m-1)."""
+    if len(sizes) == 1:
+        (n,) = sizes
+        return [(n, n - 2)]
+    m, n = sizes
+    return [(m, n - 1), (n, m - 1)]
+
+
+def _zero_by_parity(family: str, sizes: Sequence[int]) -> bool:
+    """An odd count with an odd power: formulas returns it as 0 without any sum."""
+    return family.startswith("odd-") and any(p % 2 for _, p in _kernels(sizes))
+
+
 def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
     """The digits of the family's total, and the terms and bits of each odd-count sum.
 
-    The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}; the odd
-    count sums binomial_power_sum(n, n-2), or (m, n-1) and (n, m-1).  A sum
-    (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits.  It adds nothing at
-    p = 0, where formulas._bracket returns 1 without summing, nor when any of
-    the count's powers is odd: that count is 0, returned without summing.
+    The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}.  A
+    sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, and nothing at
+    p = 0, where formulas._bracket returns 1 without summing.
     """
     if len(sizes) == 1:
         (n,) = sizes
         digits = (n - 2) * math.log10(n)
-        kernels = [(n, n - 2)]
     else:
         m, n = sizes
         digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
-        kernels = [(m, n - 1), (n, m - 1)]
-    free = any(p % 2 for _, p in kernels)
-    return digits, [
-        (0 if free or not p else (k + 1) // 2, k + p * math.log2(k)) for k, p in kernels
-    ]
+    return digits, [((k + 1) // 2 if p else 0, k + p * math.log2(k)) for k, p in _kernels(sizes)]
 
 
 def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:
     """Reject the counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
     The counts are those of every size tuple between the two, one row each, so
-    a single count is the one-row table first == last.  Odd and
-    degree-constrained counts never exceed the family's total, so the digits
-    of the last row's total, from logarithms alone, bound every count.  A row
-    costs terms * bits**1.585 (Karatsuba multiplication) for each sum of an
-    odd count, or for the one power of a total; four such terms of the count's
-    bits for its decimal rendering; and its digits.  The sum stops at the
-    first row that crosses the bound, so a huge table is rejected after a few
-    of its rows.
+    a single count is the one-row table first == last.  A row that is 0 by
+    parity (_zero_by_parity) prints its one digit and costs only that.  Odd
+    and degree-constrained counts never exceed the family's total, so the
+    digits of the total of the last row not 0 by parity, from logarithms
+    alone, bound every count.  Any other row costs terms * bits**1.585
+    (Karatsuba multiplication) for each sum of an odd count, or for the one
+    power of a total; four such terms of the count's bits for its decimal
+    rendering; and its digits.  The sum stops at the first row that crosses
+    the bound, so a huge table is rejected after a few of its rows.
     """
     if min(first) < 1:
         return  # the formula rejects the size itself
-    digits, _ = _measures(last)
-    if digits > MAX_DIGITS:
-        raise SizeLimitError(
-            f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
-        )
+    # Only the parity of each size decides a zero, so the rows made of each range's
+    # last two sizes hold the last row not 0 by parity, if there is one.
+    tail = product(*(range(b, max(a, b - 1) - 1, -1) for a, b in zip(first, last)))
+    largest = next((sizes for sizes in tail if not _zero_by_parity(family, sizes)), None)
+    if largest is not None:
+        digits, _ = _measures(largest)
+        if digits > MAX_DIGITS:
+            raise SizeLimitError(
+                f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
+            )
     parameters = verify.FAMILIES[family][0]
     odd = family.startswith("odd-")
     work = 0.0
     for sizes in product(*(range(a, b + 1) for a, b in zip(first, last))):
+        if _zero_by_parity(family, sizes):
+            work += 1  # the one digit of "0"
+            continue
         digits, sums = _measures(sizes)
         bits = digits * math.log2(10)
         priced = sums if odd else [(1, bits)]
@@ -168,10 +185,12 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
 
     Every sign vector's form is at most s = sum |a_i| in size, so the sum is at
     most 2**n * s**power, whose digits bound the output.  Work is terms times
-    bits, with s**power the largest term.  The direct walk adds 2**n terms to a
-    sum of up to n more bits.  The expansion builds a binomial table of
-    t = (power/2 + 1)(power/2 + 2)/2 entries, then convolves t products per
-    coefficient; an odd power returns 0 at once.
+    bits, with s**power the largest term.  Direct mode is still priced as a
+    walk adding 2**n terms to a sum of up to n more bits, an upper bound: its
+    tally adds one term per distinct form, at most 2*s + 1 of them.  The
+    expansion builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
+    entries, then convolves t products per coefficient; an odd power returns
+    0 at once.
     """
     if power < 0:
         return  # the power sums reject it themselves
@@ -183,7 +202,7 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
         )
     term_bits = 1 + power * math.log2(max(total, 2))
     work = 0.0
-    if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the walk refuses
+    if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the tally refuses
         work += 2 ** n * (n + term_bits)
     if mode != "direct" and power % 2 == 0:
         half = power // 2

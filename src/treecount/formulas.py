@@ -96,12 +96,12 @@ def odd_spanning_trees_complete(n: int) -> int:
 
     Evaluates sum_k C(n,k)(2k-n)**(n-2) / 2**n in exact integers; the
     division is checked and cannot fail for a correct sum.  For odd n the
-    power n-2 is odd, and binomial_power_sum returns 0 without summing
-    (the k and n-k terms cancel).  n = 1 is special-cased to 0: the lone
-    vertex has even degree 0.
+    power n-2 is odd, the k and n-k terms cancel, and 0 is returned
+    without building the sum or 2**n; this covers n = 1, whose lone vertex
+    has even degree 0.
     """
     _check_size(n, "n")
-    return 0 if n == 1 else _bracket(n, n - 2)
+    return 0 if n % 2 else _bracket(n, n - 2)
 
 
 def odd_spanning_trees_complete_by_sum(n: int) -> int:

@@ -218,6 +218,31 @@ class TestDigitBound:
             assert run_cli(capsys, *argv) == (0, f"{count}\n", "")
 
 
+class TestZeroByParity:
+    """An odd count with an odd power is 0, priced at its one digit, above the digit bound too."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["odd-complete", "--n", "189485"],
+            ["odd-complete", "--n", str(10**9 + 1)],
+            ["odd-bipartite", "--m", "2", "--n", "10000000"],
+        ],
+        ids=" ".join,
+    )
+    def test_zero_count_above_the_digit_bound_prints_zero(self, capsys, argv):
+        assert run_cli(capsys, "count", *argv) == (0, "0\n", "")
+
+    def test_digit_bound_reads_the_last_row_not_zero(self, capsys):
+        # 189484 is above the bound and its count is not 0 by parity; 189485 is
+        assert_usage_error(
+            *run_cli(capsys, "table", "--family", "odd-complete", "--from", "189484", "--to", "189485")
+        )
+        with pytest.raises(ValueError, match="digits is above the bound"):
+            _check_bounds("odd-bipartite", [1, 1], [1000002, 1000002])
+        _check_bounds("odd-bipartite", [1000002, 999999], [1000002, 1000002])  # every row 0
+
+
 def check_table(family, start, stop):
     """table_lines checks its bounds before it yields its first line."""
     next(table_lines(family, start, stop, "csv"))
@@ -343,7 +368,7 @@ class TestTableBound:
 
     @pytest.mark.parametrize(
         "family, start, top",
-        [("odd-complete", 2, 969), ("odd-bipartite", 1, 242), ("complete", 1, 3690), ("bipartite", 1, 341)],
+        [("odd-complete", 2, 971), ("odd-bipartite", 1, 250), ("complete", 1, 3690), ("bipartite", 1, 341)],
     )
     def test_bound_falls_between_two_tables(self, family, start, top):
         check_table(family, start, top)

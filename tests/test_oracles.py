@@ -505,7 +505,8 @@ class TestBipartiteBruteForce:
 class TestDegreeTallies:
     """The layered K_n and K_{m,n} tallies, key for key, against the
     depth-first searches that built them before (every n <= 8 and
-    m + n <= 9) and the plain loops those replaced (n <= 7 and m + n <= 8);
+    m + n <= 9, and both orientations of every m + n <= 10 against one
+    search) and the plain loops those replaced (n <= 7 and m + n <= 8);
     and each tally's trees number the graph's Matrix-Tree count, the
     K_{m,n} tally's one size above the brute-force bound too."""
 
@@ -522,6 +523,16 @@ class TestDegreeTallies:
     @pytest.mark.parametrize("m, n", BRUTE_FORCE_SPLITS)
     def test_bipartite_matches_depth_first_search(self, m, n):
         assert oracles._bipartite_degree_tally(m, n) == dfs_bipartite_tally(m, n)
+
+    @pytest.mark.parametrize(
+        "m, n", [(m, total - m) for total in range(2, 11) for m in range((total + 1) // 2, total)]
+    )
+    def test_both_orientations_match_one_depth_first_search(self, m, n):
+        # K_{n,m} is K_{m,n} with its sides swapped; m >= n is the one built directly
+        reference = dfs_bipartite_tally(m, n)
+        assert oracles._bipartite_degree_tally(m, n) == reference
+        swapped = {(b, a): count for (a, b), count in reference.items()}
+        assert oracles._bipartite_degree_tally(n, m) == swapped
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complete_matches_depth_first_search(self, n):

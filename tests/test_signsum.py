@@ -50,7 +50,7 @@ class TestHypercubePowerSum:
     def test_power_zero_counts_vectors(self):
         assert hypercube_power_sum([3, 1, 4], 0) == 8
 
-    def test_gray_walk_equals_naive_enumeration_exhaustively(self):
+    def test_tally_equals_naive_enumeration_exhaustively(self):
         for n in range(1, 4):
             for coeffs in product(range(-2, 3), repeat=n):
                 for power in range(5):
@@ -60,8 +60,24 @@ class TestHypercubePowerSum:
 
     @settings(max_examples=150)
     @given(coeff_vectors, st.integers(0, 8))
-    def test_gray_walk_equals_naive_enumeration(self, coeffs, power):
+    def test_tally_equals_naive_enumeration(self, coeffs, power):
         assert hypercube_power_sum(coeffs, power) == naive_power_sum(coeffs, power)
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=HYPERCUBE_LIMIT))
+    def test_tally_counts_every_sign_vector_at_power_zero(self, coeffs):
+        assert hypercube_power_sum(coeffs, 0) == 2 ** len(coeffs)
+
+    @given(coeff_vectors, st.integers(0, 8))
+    def test_zero_coefficient_doubles_every_count(self, coeffs, power):
+        # its two signs give every other sign vector's form twice
+        assert hypercube_power_sum([*coeffs, 0], power) == 2 * hypercube_power_sum(
+            coeffs, power
+        )
+
+    def test_all_ones_up_to_the_limit(self):
+        # 2**24 sign vectors at n = 24, but the tally keeps at most 2n + 1 form values
+        for n in range(1, HYPERCUBE_LIMIT + 1):
+            assert hypercube_power_sum([1] * n, n) == binomial_power_sum(n, n)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
