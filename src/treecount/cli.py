@@ -186,8 +186,10 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     Every sign vector's form is at most s = sum |a_i| in size, so the sum is at
     most 2**n * s**power, whose digits bound the output.  Work is terms times
     bits, with s**power the largest term.  Direct mode is still priced as a
-    walk adding 2**n terms to a sum of up to n more bits, an upper bound: its
-    tally adds one term per distinct form, at most 2*s + 1 of them.  The
+    walk adding 2**n terms to a sum of up to n more bits, an upper bound: it
+    adds one term per pair of its two halves' form values, at most
+    min(2**n, (2*sL + 1) * (2*sR + 1)) of them, sL and sR each half's sum of
+    |a_i|, and its tallies hold at most 2**(n//2) + 2**(n - n//2) values.  The
     expansion builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
     entries, then convolves t products per coefficient; an odd power returns
     0 at once.
@@ -202,7 +204,7 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
         )
     term_bits = 1 + power * math.log2(max(total, 2))
     work = 0.0
-    if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the tally refuses
+    if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the sum refuses
         work += 2 ** n * (n + term_bits)
     if mode != "direct" and power % 2 == 0:
         half = power // 2

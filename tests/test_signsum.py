@@ -74,8 +74,15 @@ class TestHypercubePowerSum:
             coeffs, power
         )
 
+    def test_distinct_subset_sums(self):
+        # powers of two give all 2**n sign vectors distinct forms, so every pair is one vector
+        for n in range(1, 11):
+            coeffs = [2**i for i in range(n)]
+            for power in range(4):
+                assert hypercube_power_sum(coeffs, power) == naive_power_sum(coeffs, power)
+
     def test_all_ones_up_to_the_limit(self):
-        # 2**24 sign vectors at n = 24, but the tally keeps at most 2n + 1 form values
+        # 2**24 sign vectors at n = 24, but each half's tally keeps at most 13 form values
         for n in range(1, HYPERCUBE_LIMIT + 1):
             assert hypercube_power_sum([1] * n, n) == binomial_power_sum(n, n)
 
