@@ -51,15 +51,16 @@ MAX_DIGITS = 1_000_000
 
 # The work of a query's counts, summed over its rows as _check_bounds prices them: a count
 # is a one-row table.  The largest nonzero odd counts admitted, odd-complete n = 5,592 and
-# odd-bipartite m = n = 4,347, take about 2 to 3 s, and the rest of odd-bipartite's
-# frontier, odd m = 3..20,001, 0.2 to 2.6 s.  A million-digit total costs 1.08e11, so
-# totals meet the digit bound first.  Odd counts with an odd power are 0 and cost one
-# digit each, at any size.  odd-complete 2..600 costs 4.8e10 and takes 0.4 s; the
-# largest tables admitted, odd-complete 2..971, odd-bipartite 1..250, bipartite 1..341 and
-# complete 1..3,690, take 1.9, 3.2, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
-# rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
-# measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
-# 0.8 to 8.4 for complete n = 100..20,000 (same machine).
+# odd-bipartite m = n = 4,347, take about 0.8 to 1.6 s and 2 to 3 s, and the rest of
+# odd-bipartite's frontier, odd m = 3..20,001, 0.2 to 2.6 s.  An even side's sum is priced
+# at its n/2 terms, an upper bound, as its n/2 bases share n/4 powers.  A million-digit
+# total costs 1.08e11, so totals meet the digit bound first.  Odd counts with an odd power
+# are 0 and cost one digit each, at any size.  odd-complete 2..600 costs 4.8e10 and takes
+# 0.1 to 0.25 s; the largest tables admitted, odd-complete 2..971, odd-bipartite 1..250,
+# bipartite 1..341 and complete 1..3,690, take 0.8 to 1.3, 3.2, 3.1 and 4.0 s (2-core
+# Xeon, Python 3.11).  The rendering weight of four kernel terms is a rough midpoint, not
+# a fit: decimal_string measured at 3.5 to 13 terms of its count's bits for odd-complete
+# n = 100..4,000 and at 0.8 to 8.4 for complete n = 100..20,000 (same machine).
 MAX_WORK = 150_000_000_000
 
 # signsum alone keeps terms times bits: priced as a count, terms * bits**1.585 against
@@ -119,20 +120,35 @@ def _zero_by_parity(family: str, sizes: Sequence[int]) -> bool:
     return family.startswith("odd-") and any(p % 2 for _, p in _kernels(sizes))
 
 
+def _times(size: int, factor: float) -> float:
+    """size * factor for an int of any length: 0 if factor is 0, inf past the float range."""
+    if not factor:
+        return 0.0
+    try:
+        return size * factor
+    except OverflowError:  # the int does not fit a float, above about 1.8e308
+        return math.inf
+
+
 def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
     """The digits of the family's total, and the terms and bits of each odd-count sum.
 
     The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}.  A
-    sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, and nothing at
-    p = 0, where formulas._bracket returns 1 without summing.
+    sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, an upper
+    bound for even k, whose terms share k/4 powers; a sum at p = 0 is left
+    out, as formulas._bracket returns 1 without summing.  Sizes past the
+    float range measure inf, unless a factor of 0 (a star K_{1,n}) cancels
+    them.
     """
     if len(sizes) == 1:
         (n,) = sizes
-        digits = (n - 2) * math.log10(n)
+        digits = _times(n - 2, math.log10(n))
     else:
         m, n = sizes
-        digits = (n - 1) * math.log10(m) + (m - 1) * math.log10(n)
-    return digits, [((k + 1) // 2 if p else 0, k + p * math.log2(k)) for k, p in _kernels(sizes)]
+        digits = _times(n - 1, math.log10(m)) + _times(m - 1, math.log10(n))
+    return digits, [
+        ((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k))) for k, p in _kernels(sizes) if p
+    ]
 
 
 def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:
@@ -171,7 +187,7 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> Non
         digits, sums = _measures(sizes)
         bits = digits * math.log2(10)
         priced = sums if odd else [(1, bits)]
-        work += sum(terms * b**1.585 for terms, b in priced) + 4 * bits**1.585 + digits
+        work += sum(_times(terms, b**1.585) for terms, b in priced) + 4 * bits**1.585 + digits
         if work > MAX_WORK:
             row = ", ".join(f"{name}={size}" for name, size in zip(parameters, sizes))
             raise SizeLimitError(
@@ -197,18 +213,18 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     if power < 0:
         return  # the power sums reject it themselves
     n, total = len(coeffs), sum(abs(a) for a in coeffs)
-    digits = n * math.log10(2) + power * math.log10(max(total, 1))
+    digits = n * math.log10(2) + _times(power, math.log10(max(total, 1)))
     if digits > MAX_DIGITS:
         raise SizeLimitError(
             f"a sum of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
-    term_bits = 1 + power * math.log2(max(total, 2))
+    term_bits = 1 + _times(power, math.log2(max(total, 2)))
     work = 0.0
     if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the sum refuses
         work += 2 ** n * (n + term_bits)
     if mode != "direct" and power % 2 == 0:
         half = power // 2
-        work += (n + 1) * (half + 1) * (half + 2) // 2 * term_bits
+        work += _times((n + 1) * (half + 1) * (half + 2) // 2, term_bits)
     if work > MAX_KERNEL_BITS:
         raise SizeLimitError(
             f"a sign sum adding about {work:.3g} bits of terms is above"

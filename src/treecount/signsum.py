@@ -13,7 +13,9 @@ Three evaluation strategies for the same family of quantities:
 * binomial_power_sum    -- the all-ones special case, with sign vectors
                            grouped by their number of +1 entries; the
                            k and n-k groups mirror each other, so it sums
-                           half the range with a running binomial.
+                           half the range, and bases that share an odd
+                           part share one power of it, their powers of
+                           two becoming shifts.
 
 All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
@@ -142,9 +144,19 @@ def binomial_power_sum(n: int, power: int) -> int:
 
     The k and n-k terms have equal binomials and opposite forms, so an odd
     power gives 0 without summing, and an even power gives twice the sum
-    over k < n/2 (the middle term of an even n is 0**power = 0).  Power 0
-    is 2**n by the binomial theorem.  Each binomial comes from the one
-    before, C(n,k+1) = C(n,k) * (n-k) / (k+1), an exact division.
+    over the bases n - 2k > 0 (the middle term of an even n is 0**power =
+    0).  Power 0 is 2**n by the binomial theorem.  The binomials C(n,k) of
+    those bases come from C(n,k) = C(n,k-1) * (n-k+1) / k, an exact
+    division, and are kept in a list.
+
+    A base odd * 2**a has the power odd**power << a*power.  Every base has
+    n's parity, so its a is at least low, 1 for an even n and 0 for an odd
+    one.  The bases odd * 2**low, odd * 2**(low+1), ... up to n share one
+    odd part; their binomials, each shifted by (a - low)*power, join into
+    one weight, which costs one power of the odd part and one product.
+    The shared 2**(low*power) is shifted in once at the end.  An even n's
+    n/2 bases take n/4 powers; an odd n's bases are odd, one per odd part,
+    so it keeps one power per base.
     """
     if n < 1:
         raise ValueError(f"binomial_power_sum() requires n >= 1, got {n}")
@@ -154,8 +166,16 @@ def binomial_power_sum(n: int, power: int) -> int:
         return 0
     if power == 0:
         return 1 << n
-    total, binomial = 0, 1
-    for k in range((n + 1) // 2):
-        total += binomial * (n - 2 * k) ** power
-        binomial = binomial * (n - k) // (k + 1)
-    return 2 * total
+    binomials = [1]  # binomials[k] = C(n, k), for the bases n - 2k > 0
+    for k in range(1, (n + 1) // 2):
+        binomials.append(binomials[-1] * (n - k + 1) // k)
+    low = 1 - n % 2  # every base has 2**low, n's parity, as a factor
+    total = 0
+    for odd in range(1, (n >> low) + 1, 2):
+        base, shift = odd << low, 0
+        weight = binomials[(n - base) // 2]
+        while low and (base := base << 1) <= n:  # odd n: a doubled base is even, not n's parity
+            shift += power
+            weight += binomials[(n - base) // 2] << shift
+        total += weight * odd ** power
+    return total << (low * power + 1)

@@ -218,6 +218,47 @@ class TestDigitBound:
             assert run_cli(capsys, *argv) == (0, f"{count}\n", "")
 
 
+# sizes and powers past the float range (about 1.8e308), named as the queries below write them
+HUGE = {"10**400": str(10**400), "10**400+1": str(10**400 + 1)}
+SIGNSUM_MODES = ("", " --mode direct", " --mode multinomial")
+
+
+class TestPastTheFloatRange:
+    """Such sizes and powers meet their bound: exit 2, never an OverflowError (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "query, bound",
+        [
+            ("count complete --n 10**400", "digits"),
+            ("count odd-complete --n 10**400", "digits"),
+            ("count bipartite --m 3 --n 10**400", "digits"),
+            ("count odd-bipartite --m 3 --n 10**400+1", "digits"),
+            ("table --family complete --from 1 --to 10**400", "digits"),
+            *((f"signsum --coeffs 1,2 --power 10**400{mode}", "digits") for mode in SIGNSUM_MODES),
+            # 2 * 1**power has one digit, so the work bound refuses these
+            *((f"signsum --coeffs 1 --power 10**400{mode}", "bits of terms") for mode in SIGNSUM_MODES),
+        ],
+    )
+    def test_query_exits_two_with_its_bounds_message(self, capsys, query, bound):
+        code, out, err = run_cli(capsys, *(HUGE.get(word, word) for word in query.split()))
+        assert_usage_error(code, out, err)
+        limit = MAX_DIGITS if bound == "digits" else MAX_KERNEL_BITS
+        assert err.endswith(f"{bound} is above the bound of {limit:,}\n")
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "count bipartite --m 1 --n 10**400",
+            "count odd-bipartite --m 1 --n 10**400+1",
+            "count odd-bipartite --m 10**400+1 --n 1",
+        ],
+    )
+    def test_star_prints_its_one_tree(self, capsys, query):
+        # a star's total is 1 at any size: the zero logarithm of its side 1 cancels the other
+        argv = [HUGE.get(word, word) for word in query.split()]
+        assert run_cli(capsys, *argv) == (0, "1\n", "")
+
+
 class TestZeroByParity:
     """An odd count with an odd power is 0, priced at its one digit, above the digit bound too."""
 

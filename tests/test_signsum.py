@@ -189,11 +189,19 @@ class TestBinomialPowerSum:
             for power in range(12):
                 assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
 
-    @pytest.mark.parametrize("n", [1000, 2001, 3000])
+    # 1024 and 2048 give the odd part 1 the longest chains: 10 and 11 bases 2, 4, ..., n
+    @pytest.mark.parametrize("n", [1000, 1024, 2001, 2048, 3000])
     @pytest.mark.parametrize("offset", [2, 1])
     def test_matches_definition_at_odd_count_powers(self, n, offset):
         power = n - offset
         assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
+
+    def test_matches_definition_at_every_even_size(self):
+        # every base of an even n is even: its odd parts' chains odd, 2*odd, 4*odd, ...
+        # join up to log2(n) binomials, each shifted by a multiple of the power
+        for n in range(2, 257, 2):
+            for power in sorted({n - 2, n, *range(2, 13)}):
+                assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
 
     def test_power_zero_counts_every_sign_vector(self):
         for n in (1, 2, 3, 10, 11, 1000):
