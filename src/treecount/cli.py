@@ -16,14 +16,13 @@ given option as a usage error: no option is silently ignored.  oracle
 matrix-tree takes graphs of at most MATRIX_TREE_LIMIT vertices.
 
 count <family> and table print counts of at most MAX_DIGITS digits: the
-digits of the family's total (n**(n-2) for K_n, m**(n-1) * n**(m-1) for
-K_{m,n}), which bounds every count.  They also sum the work of their rows,
-a count being a one-row table, against MAX_WORK, and stop at the first row
-that crosses it.  An odd count that is 0 by parity costs its one digit and
-is left out of the digit bound.  Both are checked before any arithmetic; a
-query above either is a usage error.  signsum is held to MAX_DIGITS on 2**n *
-(sum |a_i|)**power, which bounds the sum, and to MAX_KERNEL_BITS on the
-work of the mode it runs.
+digits of the family's total, the product of the family's powers, which
+bounds every count.  They also sum the work of their rows, a count being a
+one-row table, against MAX_WORK, and stop at the first row that crosses it.
+An odd count that is 0 by parity costs its one digit and is left out of the
+digit bound.  Both are checked before any arithmetic; a query above either
+is a usage error.  signsum is held to MAX_DIGITS on 2**n * (sum |a_i|)**power,
+which bounds the sum, and to MAX_KERNEL_BITS on the work of the mode it runs.
 decimal_string renders huge counts in subquadratic time.  table prints rows
 as computed: `| head` stops it at once.
 """
@@ -106,18 +105,9 @@ def decimal_string(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def _kernels(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """The sums binomial_power_sum(k, p) of the odd count: (n, n-2), or (m, n-1) and (n, m-1)."""
-    if len(sizes) == 1:
-        (n,) = sizes
-        return [(n, n - 2)]
-    m, n = sizes
-    return [(m, n - 1), (n, m - 1)]
-
-
-def _zero_by_parity(family: str, sizes: Sequence[int]) -> bool:
+def _zero_by_parity(record: verify.Family, sizes: Sequence[int]) -> bool:
     """An odd count with an odd power: formulas returns it as 0 without any sum."""
-    return family.startswith("odd-") and any(p % 2 for _, p in _kernels(sizes))
+    return record.odd and any(p % 2 for _, p in record.powers(*sizes))
 
 
 def _times(size: int, factor: float) -> float:
@@ -130,24 +120,18 @@ def _times(size: int, factor: float) -> float:
         return math.inf
 
 
-def _measures(sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
+def _measures(record: verify.Family, sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
     """The digits of the family's total, and the terms and bits of each odd-count sum.
 
-    The total is n**(n-2) for K_n and m**(n-1) * n**(m-1) for K_{m,n}.  A
-    sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, an upper
-    bound for even k, whose terms share k/4 powers; a sum at p = 0 is left
-    out, as formulas._bracket returns 1 without summing.  Sizes past the
-    float range measure inf, unless a factor of 0 (a star K_{1,n}) cancels
-    them.
+    The total is the product of the family's powers k**p.  A sum (k, p)
+    adds (k + 1) // 2 terms of k + p*log2(k) bits, an upper bound for even
+    k, whose terms share k/4 powers; a sum at p = 0 is left out, as
+    formulas._bracket returns 1 without summing.  Sizes past the float range
+    measure inf, unless a factor of 0 (a star K_{1,n}) cancels them.
     """
-    if len(sizes) == 1:
-        (n,) = sizes
-        digits = _times(n - 2, math.log10(n))
-    else:
-        m, n = sizes
-        digits = _times(n - 1, math.log10(m)) + _times(m - 1, math.log10(n))
-    return digits, [
-        ((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k))) for k, p in _kernels(sizes) if p
+    powers = record.powers(*sizes)
+    return sum(_times(p, math.log10(k)) for k, p in powers), [
+        ((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k))) for k, p in powers if p
     ]
 
 
@@ -170,26 +154,25 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> Non
     # Only the parity of each size decides a zero, so the rows made of each range's
     # last two sizes hold the last row not 0 by parity, if there is one.
     tail = product(*(range(b, max(a, b - 1) - 1, -1) for a, b in zip(first, last)))
-    largest = next((sizes for sizes in tail if not _zero_by_parity(family, sizes)), None)
+    record = verify.FAMILIES[family]
+    largest = next((sizes for sizes in tail if not _zero_by_parity(record, sizes)), None)
     if largest is not None:
-        digits, _ = _measures(largest)
+        digits, _ = _measures(record, largest)
         if digits > MAX_DIGITS:
             raise SizeLimitError(
                 f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
             )
-    parameters = verify.FAMILIES[family][0]
-    odd = family.startswith("odd-")
     work = 0.0
     for sizes in product(*(range(a, b + 1) for a, b in zip(first, last))):
-        if _zero_by_parity(family, sizes):
+        if _zero_by_parity(record, sizes):
             work += 1  # the one digit of "0"
             continue
-        digits, sums = _measures(sizes)
+        digits, sums = _measures(record, sizes)
         bits = digits * math.log2(10)
-        priced = sums if odd else [(1, bits)]
+        priced = sums if record.odd else [(1, bits)]
         work += sum(_times(terms, b**1.585) for terms, b in priced) + 4 * bits**1.585 + digits
         if work > MAX_WORK:
-            row = ", ".join(f"{name}={size}" for name, size in zip(parameters, sizes))
+            row = ", ".join(f"{name}={size}" for name, size in zip(record.parameters, sizes))
             raise SizeLimitError(
                 f"a query costing about {work:.3g} units of work by its row {row}"
                 f" is above the bound of {MAX_WORK:,}"
@@ -201,14 +184,15 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
 
     Every sign vector's form is at most s = sum |a_i| in size, so the sum is at
     most 2**n * s**power, whose digits bound the output.  Work is terms times
-    bits, with s**power the largest term.  Direct mode is still priced as a
-    walk adding 2**n terms to a sum of up to n more bits, an upper bound: it
-    adds one term per pair of its two halves' form values, at most
-    min(2**n, (2*sL + 1) * (2*sR + 1)) of them, sL and sR each half's sum of
-    |a_i|, and its tallies hold at most 2**(n//2) + 2**(n - n//2) values.  The
-    expansion builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
-    entries, then convolves t products per coefficient; an odd power returns
-    0 at once.
+    bits: a direct term has at most power*log2(s) bits, one if s <= 1, and an
+    expansion term's binomial C(power, k) up to power bits.  Direct mode is
+    still priced as a walk adding 2**n terms to a sum of up to n more bits, an
+    upper bound: it adds one term per pair of its two halves' form values, at
+    most min(2**n, (2*sL + 1) * (2*sR + 1)) of them, sL and sR each half's sum
+    of |a_i|, and its tallies hold at most 2**(n//2) + 2**(n - n//2) values.
+    The expansion builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
+    entries, then convolves t products per coefficient; an odd power returns 0
+    at once.
     """
     if power < 0:
         return  # the power sums reject it themselves
@@ -218,13 +202,14 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
         raise SizeLimitError(
             f"a sum of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
-    term_bits = 1 + _times(power, math.log2(max(total, 2)))
+    form_bits = 1 + _times(power, math.log2(max(total, 1)))
+    binomial_bits = 1 + _times(power, math.log2(max(total, 2)))
     work = 0.0
     if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the sum refuses
-        work += 2 ** n * (n + term_bits)
+        work += 2 ** n * (n + form_bits)
     if mode != "direct" and power % 2 == 0:
         half = power // 2
-        work += _times((n + 1) * (half + 1) * (half + 2) // 2, term_bits)
+        work += _times((n + 1) * (half + 1) * (half + 2) // 2, binomial_bits)
     if work > MAX_KERNEL_BITS:
         raise SizeLimitError(
             f"a sign sum adding about {work:.3g} bits of terms is above"
@@ -336,10 +321,10 @@ def _read(args, query: str, names: Sequence[str]) -> list:
 
 def _run_count(args) -> int:
     if args.family in verify.FAMILIES:
-        parameters, formula, _ = verify.FAMILIES[args.family]
-        sizes = _read(args, f"count {args.family}", parameters)
+        record = verify.FAMILIES[args.family]
+        sizes = _read(args, f"count {args.family}", record.parameters)
         _check_bounds(args.family, sizes, sizes)
-        value = formula(*sizes)
+        value = record.formula(*sizes)
     elif args.degrees is not None:
         degrees = _read(args, "count degrees --degrees", ("degrees",))
         value = formulas.trees_with_degrees_complete(*degrees)
@@ -384,14 +369,14 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
     """A family's table over [start, stop] as csv or jsonl lines, computed one by one."""
     if start < 1 or start > stop:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
-    parameters, formula, _ = verify.FAMILIES[family]
-    _check_bounds(family, [start] * len(parameters), [stop] * len(parameters))
+    record = verify.FAMILIES[family]
+    _check_bounds(family, [start] * len(record.parameters), [stop] * len(record.parameters))
     if fmt == "csv":
-        yield ",".join((*parameters, "count"))
-    for sizes in product(range(start, stop + 1), repeat=len(parameters)):
-        count = decimal_string(formula(*sizes))
+        yield ",".join((*record.parameters, "count"))
+    for sizes in product(range(start, stop + 1), repeat=len(record.parameters)):
+        count = decimal_string(record.formula(*sizes))
         if fmt == "jsonl":
-            yield json.dumps({**dict(zip(parameters, sizes)), "count": count}, sort_keys=True)
+            yield json.dumps({**dict(zip(record.parameters, sizes)), "count": count}, sort_keys=True)
         else:
             yield ",".join((*map(str, sizes), count))
 
@@ -428,7 +413,7 @@ def _run_oracle(args) -> int:
     if args.kind == "matrix-tree":
         print(oracles.matrix_tree_count(_graph(args)))
         return 0
-    parameters, _, _ = verify.FAMILIES[args.kind]
+    parameters = verify.FAMILIES[args.kind].parameters
     # at most one filter: --odd, or the degree profile of the graph
     complete = args.kind == "complete"
     brute = oracles.count_trees_complete_brute if complete else oracles.count_trees_bipartite_brute

@@ -18,6 +18,7 @@ sweep composition spaces without tripping on infeasible profiles.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .combinatorics import exact_div, multinomial
@@ -36,6 +37,16 @@ def _check_degrees(degrees: DegreeSequence, name: str) -> None:
         raise ValueError(f"{name} must be nonempty")
     if min(degrees) < 1:
         raise ValueError(f"{name} entries must be positive, got {list(degrees)}")
+
+
+def complete_powers(n: int) -> list[tuple[int, int]]:
+    """K_n's (side, power) pairs: its total is n**(n-2), its odd count a bracket of them."""
+    return [(n, n - 2)]
+
+
+def bipartite_powers(m: int, n: int) -> list[tuple[int, int]]:
+    """K_{m,n}'s (side, power) pairs: its total is m**(n-1) * n**(m-1)."""
+    return [(m, n - 1), (n, m - 1)]
 
 
 def spanning_trees_complete(n: int) -> int:
@@ -101,7 +112,7 @@ def odd_spanning_trees_complete(n: int) -> int:
     has even degree 0.
     """
     _check_size(n, "n")
-    return 0 if n % 2 else _bracket(n, n - 2)
+    return _odd_count(complete_powers(n))
 
 
 def odd_spanning_trees_complete_by_sum(n: int) -> int:
@@ -130,9 +141,14 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     """
     _check_size(m, "m")
     _check_size(n, "n")
-    if m % 2 == 0 or n % 2 == 0:
+    return _odd_count(bipartite_powers(m, n))
+
+
+def _odd_count(powers: list[tuple[int, int]]) -> int:
+    """prod k**p over `powers`, each power averaged over k signs: 0 if one is odd, as it cancels."""
+    if any(p % 2 for _, p in powers):
         return 0
-    return _bracket(m, n - 1) * _bracket(n, m - 1)
+    return math.prod(_bracket(k, p) for k, p in powers)
 
 
 def _bracket(side: int, power: int) -> int:

@@ -19,6 +19,8 @@ from .combinatorics import (
     positive_compositions,
 )
 from .formulas import (
+    bipartite_powers,
+    complete_powers,
     odd_spanning_trees_bipartite,
     odd_spanning_trees_bipartite_by_sum,
     odd_spanning_trees_complete,
@@ -92,6 +94,24 @@ class VerificationReport(NamedTuple):
         return all(c.match for c in self.cases)
 
 
+class Family(NamedTuple):
+    """A family of graphs, as count, table, oracle and verify read it.
+
+    parameters are the side sizes, summing to the vertex count; scope is the
+    verify scope that sweeps the family; odd says whether it counts odd trees
+    only; powers(*sizes) gives the (side, power) pairs whose product of
+    side**power is the total.  formula and oracles take the sizes as keywords,
+    and look every function up when called: a patched attribute takes effect.
+    """
+
+    parameters: tuple[str, ...]
+    scope: str
+    odd: bool
+    powers: Callable[..., list[tuple[int, int]]]
+    formula: Callable[..., int]
+    oracles: dict[str, Callable[..., int]]
+
+
 class _CaseSpec(NamedTuple):
     family: str
     parameters: dict
@@ -118,25 +138,20 @@ class _CaseSpec(NamedTuple):
         )
 
 
-# family -> (parameters, formula, {oracle_kind: oracle}).  The parameters
-# are the side sizes, which sum to the vertex count; formula and oracles take
-# them as keywords.  count, table, oracle and verify all dispatch through this
-# table, and its order is the order of the CLI's family choices.  The lambdas
-# look every function up when called, so a patched module attribute takes
-# effect.
+# every family, in the order of the CLI's family choices
 FAMILIES = {
-    "complete": (
-        ("n",),
-        lambda n: spanning_trees_complete(n),
-        {
+    "complete": Family(
+        ("n",), scope="complete", odd=False, powers=complete_powers,
+        formula=lambda n: spanning_trees_complete(n),
+        oracles={
             "pruefer-brute": lambda n: count_trees_complete_brute(n),
             "matrix-tree": lambda n: matrix_tree_count(LabeledGraph.complete(n)),
         },
     ),
-    "bipartite": (
-        ("m", "n"),
-        lambda m, n: spanning_trees_bipartite(m, n),
-        {
+    "bipartite": Family(
+        ("m", "n"), scope="bipartite", odd=False, powers=bipartite_powers,
+        formula=lambda m, n: spanning_trees_bipartite(m, n),
+        oracles={
             # the name matches neither the edge-subset search it once was nor the layered
             # tally it is now, and is kept because the pinned verify report carries it
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n),
@@ -145,18 +160,18 @@ FAMILIES = {
             ),
         },
     ),
-    "odd-complete": (
-        ("n",),
-        lambda n: odd_spanning_trees_complete(n),
-        {
+    "odd-complete": Family(
+        ("n",), scope="complete", odd=True, powers=complete_powers,
+        formula=lambda n: odd_spanning_trees_complete(n),
+        oracles={
             "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
             "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
         },
     ),
-    "odd-bipartite": (
-        ("m", "n"),
-        lambda m, n: odd_spanning_trees_bipartite(m, n),
-        {
+    "odd-bipartite": Family(
+        ("m", "n"), scope="bipartite", odd=True, powers=bipartite_powers,
+        formula=lambda m, n: odd_spanning_trees_bipartite(m, n),
+        oracles={
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n, all_odd),
             "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
         },
@@ -174,10 +189,10 @@ def _sizes(count: int, vertices: int) -> list[tuple[int, ...]]:
 
 
 def _family_specs(family: str, vertices: int) -> Iterator[_CaseSpec]:
-    parameters, formula, oracles = FAMILIES[family]
-    for sizes in _sizes(len(parameters), vertices):
-        params = dict(zip(parameters, sizes))
-        for kind, oracle in oracles.items():
+    record = FAMILIES[family]
+    for sizes in _sizes(len(record.parameters), vertices):
+        params = dict(zip(record.parameters, sizes))
+        for kind, oracle in record.oracles.items():
             # composition sums need two vertices
             if kind == "composition-sum" and sum(sizes) < 2:
                 continue
@@ -185,7 +200,7 @@ def _family_specs(family: str, vertices: int) -> Iterator[_CaseSpec]:
                 family,
                 params,
                 kind,
-                lambda f=formula, o=oracle, p=params: (f(**p), o(**p)),
+                lambda f=record.formula, o=oracle, p=params: (f(**p), o(**p)),
             )
 
 
@@ -312,10 +327,9 @@ def build_specs(
         raise ValueError(f"unknown verification scope(s): {sorted(unknown)}")
     bounds = {"complete": complete_max, "bipartite": bipartite_max}
     specs: list[_CaseSpec] = []
-    for family in FAMILIES:
-        scope = family.removeprefix("odd-")
-        if scope in scopes:
-            specs.extend(_family_specs(family, bounds[scope]))
+    for family, record in FAMILIES.items():
+        if record.scope in scopes:
+            specs.extend(_family_specs(family, bounds[record.scope]))
     if "degrees" in scopes:
         specs.extend(_degrees_specs(complete_max, bipartite_max))
     if "signsum" in scopes:

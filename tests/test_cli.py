@@ -102,16 +102,15 @@ class TestCount:
         sorted(
             {
                 (family, name)
-                for family, (parameters, _, _) in verify.FAMILIES.items()
-                for other, _, _ in verify.FAMILIES.values()
-                for name in other
-                if name not in parameters
+                for family, record in verify.FAMILIES.items()
+                for other in verify.FAMILIES.values()
+                for name in other.parameters
+                if name not in record.parameters
             }
         ),
     )
     def test_size_of_another_family_is_usage_error(self, capsys, family, name):
-        parameters, _, _ = verify.FAMILIES[family]
-        sizes = [arg for size in parameters for arg in (f"--{size}", "3")]
+        sizes = [arg for size in verify.FAMILIES[family].parameters for arg in (f"--{size}", "3")]
         code, out, err = run_cli(capsys, "count", family, *sizes, f"--{name}", "3")
         assert_usage_error(code, out, err)
         assert err == f"error: count {family} does not take --{name}\n"
@@ -235,8 +234,12 @@ class TestPastTheFloatRange:
             ("count odd-bipartite --m 3 --n 10**400+1", "digits"),
             ("table --family complete --from 1 --to 10**400", "digits"),
             *((f"signsum --coeffs 1,2 --power 10**400{mode}", "digits") for mode in SIGNSUM_MODES),
-            # 2 * 1**power has one digit, so the work bound refuses these
-            *((f"signsum --coeffs 1 --power 10**400{mode}", "bits of terms") for mode in SIGNSUM_MODES),
+            # 2 * 1**power has one digit, so the work bound refuses these: the expansion's
+            # binomials are power bits wide
+            *(
+                (f"signsum --coeffs 1 --power 10**400{mode}", "bits of terms")
+                for mode in ("", " --mode multinomial")
+            ),
         ],
     )
     def test_query_exits_two_with_its_bounds_message(self, capsys, query, bound):
@@ -257,6 +260,12 @@ class TestPastTheFloatRange:
         # a star's total is 1 at any size: the zero logarithm of its side 1 cancels the other
         argv = [HUGE.get(word, word) for word in query.split()]
         assert run_cli(capsys, *argv) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("power", ["10**400", "300000000"])
+    def test_direct_sum_of_unit_forms_prints_two(self, capsys, power):
+        # the forms of --coeffs 1 are 1 and -1, so the walk adds two one-bit terms at any power
+        argv = ["signsum", "--coeffs", "1", "--power", HUGE.get(power, power), "--mode", "direct"]
+        assert run_cli(capsys, *argv) == (0, "2\n", "")
 
 
 class TestZeroByParity:
@@ -363,12 +372,12 @@ class TestKernelBound:
     def test_count_exits_two_exactly_when_its_one_row_table_does(
         self, capsys, monkeypatch, family, frontier
     ):
-        parameters, _, oracles = verify.FAMILIES[family]
+        record = verify.FAMILIES[family]
         # the bound is checked before the formula runs, so a stub formula keeps this fast
-        monkeypatch.setitem(verify.FAMILIES, family, (parameters, lambda *sizes: 0, oracles))
+        monkeypatch.setitem(verify.FAMILIES, family, record._replace(formula=lambda *sizes: 0))
         codes = set()
         for size in range(frontier - 2, frontier + 3):
-            sizes = [arg for name in parameters for arg in (f"--{name}", str(size))]
+            sizes = [arg for name in record.parameters for arg in (f"--{name}", str(size))]
             count = run_cli(capsys, "count", family, *sizes)[0]
             table = run_cli(capsys, "table", "--family", family, "--from", str(size), "--to", str(size))[0]
             assert count == table, size
@@ -851,16 +860,16 @@ class TestOracle:
 
     @pytest.mark.parametrize("family", list(verify.FAMILIES))
     def test_prints_the_family_brute_oracle(self, capsys, family):
-        parameters, _, family_oracles = verify.FAMILIES[family]
-        (brute,) = [o for kind, o in family_oracles.items() if kind.endswith("-brute")]
-        odd = ["--odd"] if family.startswith("odd-") else []
-        for sizes in product(range(1, 7), repeat=len(parameters)):
+        record = verify.FAMILIES[family]
+        (brute,) = [o for kind, o in record.oracles.items() if kind.endswith("-brute")]
+        odd = ["--odd"] if record.odd else []
+        for sizes in product(range(1, 7), repeat=len(record.parameters)):
             if sum(sizes) > 6:
                 continue
-            options = [arg for name, size in zip(parameters, sizes) for arg in (f"--{name}", str(size))]
-            code, out, err = run_cli(
-                capsys, "oracle", family.removeprefix("odd-"), *options, *odd
-            )
+            options = [
+                arg for name, size in zip(record.parameters, sizes) for arg in (f"--{name}", str(size))
+            ]
+            code, out, err = run_cli(capsys, "oracle", record.scope, *options, *odd)
             assert (code, out, err) == (0, f"{brute(*sizes)}\n", ""), sizes
 
     def test_oversize_brute_force_is_usage_error(self, capsys):

@@ -1,12 +1,15 @@
 """Tests for the closed-form counters against the brute-force oracles."""
 
+import math
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecount import formulas
+from treecount.cli import _zero_by_parity
 from treecount.combinatorics import positive_compositions
 from treecount.formulas import (
     odd_spanning_trees_bipartite,
@@ -24,6 +27,7 @@ from treecount.oracles import (
     count_trees_complete_brute,
     matrix_tree_count,
 )
+from treecount.signsum import binomial_power_sum
 from treecount.verify import FAMILIES
 
 
@@ -269,7 +273,7 @@ class TestFamilyDispatch:
 
     @staticmethod
     def formula(family):
-        return FAMILIES[family][1]
+        return FAMILIES[family].formula
 
     def test_tree_count(self):
         assert self.formula("complete")(n=4) == 16
@@ -280,9 +284,24 @@ class TestFamilyDispatch:
         assert self.formula("odd-bipartite")(m=3, n=3) == 9
 
     def test_families_in_cli_order_with_their_sizes(self):
-        assert [(family, parameters) for family, (parameters, _, _) in FAMILIES.items()] == [
+        assert [(family, record.parameters) for family, record in FAMILIES.items()] == [
             ("complete", ("n",)),
             ("bipartite", ("m", "n")),
             ("odd-complete", ("n",)),
             ("odd-bipartite", ("m", "n")),
         ]
+
+    def test_powers_describe_every_family(self):
+        # the (side, power) pairs price, zero and sweep each family, so they must be its shape:
+        # their product of powers is the total, and each odd count averages those powers
+        totals = {record.scope: record.formula for record in FAMILIES.values() if not record.odd}
+        for family, record in FAMILIES.items():
+            top = 40 if record.scope == "complete" else 15
+            for sizes in product(range(1, top + 1), repeat=len(record.parameters)):
+                powers = record.powers(*sizes)
+                assert math.prod(k**p for k, p in powers) == totals[record.scope](*sizes)
+                value = record.formula(*sizes)
+                assert (value == 0) == _zero_by_parity(record, sizes), (family, sizes)
+                if value and record.odd:
+                    averaged = math.prod(binomial_power_sum(k, p) >> k for k, p in powers)
+                    assert value == averaged, (family, sizes)
