@@ -50,16 +50,18 @@ MAX_DIGITS = 1_000_000
 
 # The work of a query's counts, summed over its rows as _check_bounds prices them: a count
 # is a one-row table.  The largest nonzero odd counts admitted, odd-complete n = 5,592 and
-# odd-bipartite m = n = 4,347, take about 0.8 to 1.6 s and 2 to 3 s, and the rest of
-# odd-bipartite's frontier, odd m = 3..20,001, 0.2 to 2.6 s.  An even side's sum is priced
-# at its n/2 terms, an upper bound, as its n/2 bases share n/4 powers.  A million-digit
-# total costs 1.08e11, so totals meet the digit bound first.  Odd counts with an odd power
-# are 0 and cost one digit each, at any size.  odd-complete 2..600 costs 4.8e10 and takes
-# 0.1 to 0.25 s; the largest tables admitted, odd-complete 2..971, odd-bipartite 1..250,
-# bipartite 1..341 and complete 1..3,690, take 0.8 to 1.3, 3.2, 3.1 and 4.0 s (2-core
-# Xeon, Python 3.11).  The rendering weight of four kernel terms is a rough midpoint, not
-# a fit: decimal_string measured at 3.5 to 13 terms of its count's bits for odd-complete
-# n = 100..4,000 and at 0.8 to 8.4 for complete n = 100..20,000 (same machine).
+# odd-bipartite m = n = 4,347, take about 0.9 and 0.8 s in a fresh process, and the rest
+# of odd-bipartite's frontier, odd m = 3..20,001, 0.4 to 1.6 s (2-core Xeon, Python
+# 3.11.7).  A side's sum is priced at its (n + 1) // 2 terms, an upper bound, as the
+# kernel raises only the odd primes among its weights to the power (238 for n = 3,000)
+# and K_{m,m} sums its one pair once.  A million-digit total costs 1.08e11, so totals meet
+# the digit bound first.  Odd counts with an odd power are 0 and cost one digit each, at
+# any size.  odd-complete 2..600 costs 4.8e10 and takes 0.1 to 0.25 s; the largest tables
+# admitted, odd-complete 2..971, odd-bipartite 1..250, bipartite 1..341 and complete
+# 1..3,690, take 0.8 to 1.3, 3.2, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
+# rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
+# measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
+# 0.8 to 8.4 for complete n = 100..20,000 (same machine).
 MAX_WORK = 150_000_000_000
 
 # signsum alone keeps terms times bits: priced as a count, terms * bits**1.585 against
@@ -124,10 +126,13 @@ def _measures(record: verify.Family, sizes: Sequence[int]) -> tuple[float, list[
     """The digits of the family's total, and the terms and bits of each odd-count sum.
 
     The total is the product of the family's powers k**p.  A sum (k, p)
-    adds (k + 1) // 2 terms of k + p*log2(k) bits, an upper bound for even
-    k, whose terms share k/4 powers; a sum at p = 0 is left out, as
-    formulas._bracket returns 1 without summing.  Sizes past the float range
-    measure inf, unless a factor of 0 (a star K_{1,n}) cancels them.
+    adds (k + 1) // 2 terms of k + p*log2(k) bits, one per base: an upper
+    bound, as binomial_power_sum raises only the odd primes among its
+    weights to the power and pushes the other weights by shifts and short
+    powers, and a pair that repeats, as K_{m,m}'s does, is summed once.  A
+    sum at p = 0 is left out, as formulas._bracket returns 1 without
+    summing.  Sizes past the float range measure inf, unless a factor of 0
+    (a star K_{1,n}) cancels them.
     """
     powers = record.powers(*sizes)
     return sum(_times(p, math.log10(k)) for k, p in powers), [

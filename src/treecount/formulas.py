@@ -145,10 +145,14 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
 
 
 def _odd_count(powers: list[tuple[int, int]]) -> int:
-    """prod k**p over `powers`, each power averaged over k signs: 0 if one is odd, as it cancels."""
+    """prod k**p over `powers`, each power averaged over k signs: 0 if one is odd, as it cancels.
+
+    A pair that repeats, as K_{m,m}'s two do, is summed once and raised to
+    its multiplicity.
+    """
     if any(p % 2 for _, p in powers):
         return 0
-    return math.prod(_bracket(k, p) for k, p in powers)
+    return math.prod(_bracket(k, p) ** powers.count((k, p)) for k, p in dict.fromkeys(powers))
 
 
 def _bracket(side: int, power: int) -> int:

@@ -13,9 +13,10 @@ Three evaluation strategies for the same family of quantities:
 * binomial_power_sum    -- the all-ones special case, with sign vectors
                            grouped by their number of +1 entries; the
                            k and n-k groups mirror each other, so it sums
-                           half the range, and bases that share an odd
-                           part share one power of it, their powers of
-                           two becoming shifts.
+                           half the range, and each base's weight is
+                           pushed down its smallest prime factor, so that
+                           only primes are raised to the power and the
+                           pushes by 2 are shifts.
 
 All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
@@ -147,16 +148,20 @@ def binomial_power_sum(n: int, power: int) -> int:
     over the bases n - 2k > 0 (the middle term of an even n is 0**power =
     0).  Power 0 is 2**n by the binomial theorem.  The binomials C(n,k) of
     those bases come from C(n,k) = C(n,k-1) * (n-k+1) / k, an exact
-    division, and are kept in a list.
+    division.
 
-    A base odd * 2**a has the power odd**power << a*power.  Every base has
-    n's parity, so its a is at least low, 1 for an even n and 0 for an odd
-    one.  The bases odd * 2**low, odd * 2**(low+1), ... up to n share one
-    odd part; their binomials, each shifted by (a - low)*power, join into
-    one weight, which costs one power of the odd part and one product.
-    The shared 2**(low*power) is shifted in once at the end.  An even n's
-    n/2 bases take n/4 powers; an odd n's bases are odd, one per odd part,
-    so it keeps one power per base.
+    The sum is then that of weight[b] * b**power over 1 <= b <= n, each
+    base's weight starting as its binomial and every other weight at 0.  A
+    b with smallest prime factor q has b**power = q**power * (b/q)**power,
+    so a walk from b = n down to 2 pushes weight[b] * q**power onto
+    weight[b/q], which it reaches later, and the sum ends up as weight[1].
+    A push by 2 is a shift, so only odd primes are ever raised to the
+    power: those up to n/2 for an even n, whose weights reach the odd
+    numbers by shifts alone, and those up to n for an odd n.  A prime above
+    sqrt(n) is the smallest factor of no composite up to n, so it is raised
+    once, for its own push; the powers of the smaller primes are kept for
+    the composites whose pushes multiply by them, a product of a big weight
+    and a short power.  Each weight is dropped once pushed.
     """
     if n < 1:
         raise ValueError(f"binomial_power_sum() requires n >= 1, got {n}")
@@ -166,16 +171,37 @@ def binomial_power_sum(n: int, power: int) -> int:
         return 0
     if power == 0:
         return 1 << n
-    binomials = [1]  # binomials[k] = C(n, k), for the bases n - 2k > 0
-    for k in range(1, (n + 1) // 2):
-        binomials.append(binomials[-1] * (n - k + 1) // k)
-    low = 1 - n % 2  # every base has 2**low, n's parity, as a factor
-    total = 0
-    for odd in range(1, (n >> low) + 1, 2):
-        base, shift = odd << low, 0
-        weight = binomials[(n - base) // 2]
-        while low and (base := base << 1) <= n:  # odd n: a doubled base is even, not n's parity
-            shift += power
-            weight += binomials[(n - base) // 2] << shift
-        total += weight * odd ** power
-    return total << (low * power + 1)
+    # While loops, not ranges: at the small n that verify and the tests ask for, building a
+    # range costs about as much as a short loop's whole body.
+    # factor[b] is the smallest prime factor of an odd b if it is at most sqrt(n), else 0:
+    # each odd q <= sqrt(n) marks its odd multiples from q on, the largest q first, so the
+    # smallest prime dividing a multiple marks it last.
+    factor = [0] * (n + 1)
+    q = (math.isqrt(n) - 1) | 1
+    while q > 2:
+        factor[q :: 2 * q] = [q] * ((n - q) // (2 * q) + 1)
+        q -= 2
+    weight = [0] * (n + 1)
+    weight[n] = binomial = 1
+    k, b = 1, n - 2
+    while b > 0:  # weight[n - 2k] = C(n, k)
+        binomial = binomial * (n - k + 1) // k
+        weight[b] = binomial
+        k += 1
+        b -= 2
+    kept: dict[int, int] = {}  # q**power for the primes q <= sqrt(n)
+    b = n
+    while b > 1:
+        w = weight.pop()  # weight[b], now final: every push lands below b
+        if w:
+            if not b & 1:
+                weight[b >> 1] += w << power
+            elif q := factor[b]:
+                raised = kept.get(q)
+                if raised is None:
+                    raised = kept[q] = q**power
+                weight[b // q] += w * raised
+            else:
+                weight[1] += w * b**power
+        b -= 1
+    return weight[1] << 1

@@ -193,6 +193,21 @@ class TestOddSpanningTreesBipartite:
         assert odd_spanning_trees_bipartite(m, n) == 0
         assert [p for p in powers if p % 2 == 0] == []
 
+    @pytest.mark.parametrize("m, n, sums", [(5, 5, 1), (9, 9, 1), (5, 9, 2), (9, 5, 2), (7, 3, 2)])
+    def test_equal_sides_sum_their_bracket_once(self, monkeypatch, m, n, sums):
+        # K_{m,m}'s two (side, power) pairs are one pair, summed once and squared
+        calls = []
+        original = formulas.binomial_power_sum
+
+        def recorded(side, power):
+            calls.append((side, power))
+            return original(side, power)
+
+        monkeypatch.setattr(formulas, "binomial_power_sum", recorded)
+        assert odd_spanning_trees_bipartite(m, n) == odd_spanning_trees_bipartite_by_sum(m, n)
+        assert len(calls) == sums
+        assert set(calls) == {(m, n - 1), (n, m - 1)}
+
     @given(st.integers(1, 20), st.integers(1, 20))
     def test_symmetry_and_parity(self, m, n):
         assert odd_spanning_trees_bipartite(m, n) == odd_spanning_trees_bipartite(n, m)

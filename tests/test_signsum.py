@@ -189,18 +189,20 @@ class TestBinomialPowerSum:
             for power in range(12):
                 assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
 
-    # 1024 and 2048 give the odd part 1 the longest chains: 10 and 11 bases 2, 4, ..., n
-    @pytest.mark.parametrize("n", [1000, 1024, 2001, 2048, 3000])
+    # 1024 and 2048 push the weight of the base n down the longest chains of shifts, 10 and
+    # 11 pushes by 2; 2187 = 3**7 and 1458 = 2 * 3**6 down the longest by 3 of an odd and an
+    # even n; 1875 = 3 * 5**4 by 3 and then four times by 5; the prime 1999 has one push
+    @pytest.mark.parametrize("n", [1000, 1024, 1458, 1875, 1999, 2001, 2048, 2187, 3000])
     @pytest.mark.parametrize("offset", [2, 1])
     def test_matches_definition_at_odd_count_powers(self, n, offset):
         power = n - offset
         assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
 
-    def test_matches_definition_at_every_even_size(self):
-        # every base of an even n is even: its odd parts' chains odd, 2*odd, 4*odd, ...
-        # join up to log2(n) binomials, each shifted by a multiple of the power
-        for n in range(2, 257, 2):
-            for power in sorted({n - 2, n, *range(2, 13)}):
+    def test_matches_definition_at_every_size(self):
+        # an even n's bases are even and shift their weights onto the odd numbers, an odd
+        # n's bases are odd; from n = 9 on, odd composites push by a kept power of a prime
+        for n in range(1, 257):
+            for power in sorted({n - 2, n - 1, n, *range(2, 13)} - {-1}):
                 assert binomial_power_sum(n, power) == definitional_binomial_sum(n, power)
 
     def test_power_zero_counts_every_sign_vector(self):
