@@ -23,8 +23,10 @@ An odd count that is 0 by parity costs its one digit and is left out of the
 digit bound.  Both are checked before any arithmetic; a query above either
 is a usage error.  signsum is held to MAX_DIGITS on 2**n * (sum |a_i|)**power,
 which bounds the sum, and to MAX_KERNEL_BITS on the work of the mode it runs.
-decimal_string renders huge counts in subquadratic time.  table prints rows
-as computed: `| head` stops it at once.
+count_text raises a large total straight in decimal arithmetic from its
+powers, so no binary int is converted; odd counts, degree counts and signsum
+values are still computed as ints and converted by decimal_string, in
+subquadratic time.  table prints rows as computed: `| head` stops it at once.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from .combinatorics import SizeLimitError
 # Dense Bareiss elimination is cubic in the vertex count: K_100 takes about 0.25 s.
 MATRIX_TREE_LIMIT = 100
 
-# Counts print in full.  K_n at n = 189,483, a million digits, takes 0.6 s
-# (2-core Xeon, Python 3.11); K_n at n = 10**9 would never finish.
+# Counts print in full.  K_n at n = 189,483, a million digits raised in decimal
+# arithmetic, takes 0.3 s in a fresh process, against 1.0 to 1.3 s converted from
+# binary (2-core Xeon, Python 3.11.7); K_n at n = 10**9 would never finish.
 MAX_DIGITS = 1_000_000
 
 # The work of a query's counts, summed over its rows as _check_bounds prices them: a count
@@ -58,10 +61,13 @@ MAX_DIGITS = 1_000_000
 # the digit bound first.  Odd counts with an odd power are 0 and cost one digit each, at
 # any size.  odd-complete 2..600 costs 4.8e10 and takes 0.1 to 0.25 s; the largest tables
 # admitted, odd-complete 2..971, odd-bipartite 1..250, bipartite 1..341 and complete
-# 1..3,690, take 0.8 to 1.3, 3.2, 3.1 and 4.0 s (2-core Xeon, Python 3.11).  The
+# 1..3,690, take 0.8 to 1.3, 3.2, 4.0 to 4.2 and 3.8 s (2-core Xeon, Python 3.11.7).  The
 # rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
 # measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
-# 0.8 to 8.4 for complete n = 100..20,000 (same machine).
+# 0.8 to 8.4 for complete n = 100..20,000 (same machine).  A total of DECIMAL_SPLIT_BITS
+# bits or more is raised in decimal arithmetic, with nothing to convert, so the weight
+# overstates it; the weight, and with it every frontier above, is kept, as totals meet
+# the digit bound first.
 MAX_WORK = 150_000_000_000
 
 # signsum alone keeps terms times bits: priced as a count, terms * bits**1.585 against
@@ -70,9 +76,19 @@ MAX_WORK = 150_000_000_000
 # (same machine).
 MAX_KERNEL_BITS = 200_000_000
 
-# From this many bits on, decimal_string's divide and conquer beats str(int):
-# str wins at 20,000 bits and loses from 40,000.
+# From this many bits on, decimal arithmetic pays for its import: decimal_string's divide
+# and conquer beats str(int), which wins at 20,000 bits and loses from 40,000, and a total
+# raised in decimal is cheaper still.
 DECIMAL_SPLIT_BITS = 40_000
+
+
+def _exact_context():
+    """A local decimal context that holds every digit: a rounded digit raises, never prints."""
+    import decimal  # here, not at the top: every CLI start would pay for it
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    return decimal.localcontext(context)
 
 
 def decimal_string(value: int) -> str:
@@ -82,11 +98,13 @@ def decimal_string(value: int) -> str:
     From DECIMAL_SPLIT_BITS bits on, the binary form is split in two halves,
     recursively, and the halves are joined as hi * 2**half + lo in exact
     decimal arithmetic, whose multiplication is subquadratic.  This is the
-    int_to_decimal_string algorithm of CPython 3.12's Lib/_pylong.py.
+    int_to_decimal_string algorithm of CPython 3.12's Lib/_pylong.py.  Odd
+    counts, degree counts and sign sums are converted here; a family's total
+    is raised in decimal arithmetic from the start (count_text).
     """
     if value.bit_length() < DECIMAL_SPLIT_BITS:
         return str(value)
-    import decimal  # here, not at the top: every CLI start would pay for it
+    import decimal
 
     @functools.lru_cache(maxsize=None)
     def power(bits: int) -> decimal.Decimal:
@@ -99,12 +117,29 @@ def decimal_string(value: int) -> str:
         hi = n >> half
         return convert(hi, bits - half) * power(half) + convert(n - (hi << half), half)
 
-    with decimal.localcontext() as context:
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.traps[decimal.Inexact] = True  # a rounded digit would be a bug
+    with _exact_context():
         digits = str(convert(abs(value), value.bit_length()))
     return "-" + digits if value < 0 else digits
+
+
+def count_text(record: verify.Family, sizes: Sequence[int]) -> str:
+    """The decimal text of the family's count at `sizes`, as str(record.formula(*sizes)).
+
+    A total of DECIMAL_SPLIT_BITS bits or more, sum p*log2(k) over its
+    powers, is the product of its powers k**p raised in exact decimal
+    arithmetic, whose multiplication is subquadratic and leaves nothing to
+    convert.  An odd count, and a smaller total, which never imports
+    decimal, are computed as ints and rendered by decimal_string.  The sizes
+    are checked by record.powers, with the formula's own messages.
+    """
+    if not record.odd:
+        powers = record.powers(*sizes)
+        if sum(_times(p, math.log2(k)) for k, p in powers) >= DECIMAL_SPLIT_BITS:
+            import decimal
+
+            with _exact_context():
+                return str(math.prod(decimal.Decimal(k) ** p for k, p in powers))
+    return decimal_string(record.formula(*sizes))
 
 
 def _zero_by_parity(record: verify.Family, sizes: Sequence[int]) -> bool:
@@ -329,8 +364,9 @@ def _run_count(args) -> int:
         record = verify.FAMILIES[args.family]
         sizes = _read(args, f"count {args.family}", record.parameters)
         _check_bounds(args.family, sizes, sizes)
-        value = record.formula(*sizes)
-    elif args.degrees is not None:
+        print(count_text(record, sizes))
+        return 0
+    if args.degrees is not None:
         degrees = _read(args, "count degrees --degrees", ("degrees",))
         value = formulas.trees_with_degrees_complete(*degrees)
     elif args.a is not None or args.b is not None:
@@ -379,7 +415,7 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
     if fmt == "csv":
         yield ",".join((*record.parameters, "count"))
     for sizes in product(range(start, stop + 1), repeat=len(record.parameters)):
-        count = decimal_string(record.formula(*sizes))
+        count = count_text(record, sizes)
         if fmt == "jsonl":
             yield json.dumps({**dict(zip(record.parameters, sizes)), "count": count}, sort_keys=True)
         else:

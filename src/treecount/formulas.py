@@ -41,11 +41,14 @@ def _check_degrees(degrees: DegreeSequence, name: str) -> None:
 
 def complete_powers(n: int) -> list[tuple[int, int]]:
     """K_n's (side, power) pairs: its total is n**(n-2), its odd count a bracket of them."""
+    _check_size(n, "n")
     return [(n, n - 2)]
 
 
 def bipartite_powers(m: int, n: int) -> list[tuple[int, int]]:
     """K_{m,n}'s (side, power) pairs: its total is m**(n-1) * n**(m-1)."""
+    _check_size(m, "m")
+    _check_size(n, "n")
     return [(m, n - 1), (n, m - 1)]
 
 
@@ -111,7 +114,6 @@ def odd_spanning_trees_complete(n: int) -> int:
     without building the sum or 2**n; this covers n = 1, whose lone vertex
     has even degree 0.
     """
-    _check_size(n, "n")
     return _odd_count(complete_powers(n))
 
 
@@ -139,8 +141,6 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     degree sums: the other side's power is odd, its sum is 0, and the
     product is returned as 0 without summing either bracket.
     """
-    _check_size(m, "m")
-    _check_size(n, "n")
     return _odd_count(bipartite_powers(m, n))
 
 

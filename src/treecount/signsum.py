@@ -148,20 +148,24 @@ def binomial_power_sum(n: int, power: int) -> int:
     over the bases n - 2k > 0 (the middle term of an even n is 0**power =
     0).  Power 0 is 2**n by the binomial theorem.  The binomials C(n,k) of
     those bases come from C(n,k) = C(n,k-1) * (n-k+1) / k, an exact
-    division.
+    division, each made when the walk below reaches its base, so that one
+    binomial is held at a time.
 
-    The sum is then that of weight[b] * b**power over 1 <= b <= n, each
-    base's weight starting as its binomial and every other weight at 0.  A
-    b with smallest prime factor q has b**power = q**power * (b/q)**power,
-    so a walk from b = n down to 2 pushes weight[b] * q**power onto
-    weight[b/q], which it reaches later, and the sum ends up as weight[1].
-    A push by 2 is a shift, so only odd primes are ever raised to the
-    power: those up to n/2 for an even n, whose weights reach the odd
-    numbers by shifts alone, and those up to n for an odd n.  A prime above
-    sqrt(n) is the smallest factor of no composite up to n, so it is raised
-    once, for its own push; the powers of the smaller primes are kept for
-    the composites whose pushes multiply by them, a product of a big weight
-    and a short power.  Each weight is dropped once pushed.
+    An even n's bases are the even numbers 2v, whose powers are 2**power *
+    v**power, so its sum is 2**power times that over the values v = 1 ..
+    n/2; an odd n's values are its bases, the odd numbers up to n.  The
+    sum is then that of weight[v] * v**power over the values, each weight
+    starting as its base's binomial.  A v with smallest prime factor q has
+    v**power = q**power * (v/q)**power, so a walk from the largest value
+    down to 2 pushes weight[v] * q**power onto weight[v/q], a value it
+    reaches later, and the sum ends up as weight[1].  A push by 2, only
+    ever an even n's, is a shift, so only odd primes are ever raised to the
+    power: those up to n/2 for an even n and those up to n for an odd n.  A
+    prime above the square root of the largest value is the smallest factor
+    of no composite value, so it is raised once, for its own push; the
+    powers of the smaller primes are kept for the composites whose pushes
+    multiply by them, a product of a big weight and a short power.  Each
+    weight is dropped once pushed.
     """
     if n < 1:
         raise ValueError(f"binomial_power_sum() requires n >= 1, got {n}")
@@ -171,37 +175,38 @@ def binomial_power_sum(n: int, power: int) -> int:
         return 0
     if power == 0:
         return 1 << n
+    odd = n & 1
+    top = n if odd else n >> 1  # the largest value
     # While loops, not ranges: at the small n that verify and the tests ask for, building a
     # range costs about as much as a short loop's whole body.
-    # factor[b] is the smallest prime factor of an odd b if it is at most sqrt(n), else 0:
-    # each odd q <= sqrt(n) marks its odd multiples from q on, the largest q first, so the
+    # factor[v] is the smallest prime factor of an odd v if it is at most sqrt(top), else 0:
+    # each odd q <= sqrt(top) marks its odd multiples from q on, the largest q first, so the
     # smallest prime dividing a multiple marks it last.
-    factor = [0] * (n + 1)
-    q = (math.isqrt(n) - 1) | 1
+    factor = [0] * (top + 1)
+    q = (math.isqrt(top) - 1) | 1
     while q > 2:
-        factor[q :: 2 * q] = [q] * ((n - q) // (2 * q) + 1)
+        factor[q :: 2 * q] = [q] * ((top - q) // (2 * q) + 1)
         q -= 2
-    weight = [0] * (n + 1)
-    weight[n] = binomial = 1
-    k, b = 1, n - 2
-    while b > 0:  # weight[n - 2k] = C(n, k)
-        binomial = binomial * (n - k + 1) // k
-        weight[b] = binomial
+    # weight[v >> odd] is the weight of the value v: an odd n's values are all odd
+    weight = [0] * ((top >> odd) + 1)
+    kept: dict[int, int] = {}  # q**power for the primes q <= sqrt(top)
+    binomial, k, v = 1, 0, top
+    while v > 1:
+        # v's weight: the pushes onto it, all made, as every push lands below its source, and
+        # its base's binomial C(n, k), made now
+        w = weight.pop()
+        w = w + binomial if w else binomial
         k += 1
-        b -= 2
-    kept: dict[int, int] = {}  # q**power for the primes q <= sqrt(n)
-    b = n
-    while b > 1:
-        w = weight.pop()  # weight[b], now final: every push lands below b
-        if w:
-            if not b & 1:
-                weight[b >> 1] += w << power
-            elif q := factor[b]:
-                raised = kept.get(q)
-                if raised is None:
-                    raised = kept[q] = q**power
-                weight[b // q] += w * raised
-            else:
-                weight[1] += w * b**power
-        b -= 1
-    return weight[1] << 1
+        binomial = binomial * (n - k + 1) // k
+        if not v & 1:
+            weight[v >> 1] += w << power
+        elif q := factor[v]:
+            raised = kept.get(q)
+            if raised is None:
+                raised = kept[q] = q**power
+            weight[v // q >> odd] += w * raised
+        else:
+            weight[1 >> odd] += w * v**power
+        v -= 1 + odd
+    # the value 1 is the last base; an even n's sum carries the 2**power taken out of its bases
+    return (weight[1 >> odd] + binomial) << (1 if odd else power + 1)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import namedtuple
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .combinatorics import (
     even_compositions,
@@ -46,16 +47,26 @@ DEFAULT_BIPARTITE_MAX = 9
 DEFAULT_SEED = 1729
 
 
-class VerificationCase(NamedTuple):
-    """One formula-versus-oracle comparison."""
+# The records are collections.namedtuple subclasses, not typing.NamedTuple classes: under
+# postponed annotations, creating a NamedTuple compiles each field's annotation string into
+# a ForwardRef, and every CLI start would pay for that.
 
-    family: str
-    parameters: dict
-    formula_value: int
-    oracle_value: int
-    oracle_kind: str
-    elapsed: float  # milliseconds
-    error: str | None = None
+
+class VerificationCase(
+    namedtuple(
+        "VerificationCase",
+        "family parameters formula_value oracle_value oracle_kind elapsed error",
+        defaults=(None,),
+    )
+):
+    """One formula-versus-oracle comparison.
+
+    family, parameters (a dict) and oracle_kind name the case; formula_value
+    and oracle_value are the two ints compared; elapsed is in milliseconds;
+    error is the text of the exception the case raised, or None.
+    """
+
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
@@ -77,8 +88,10 @@ class VerificationCase(NamedTuple):
         return record
 
 
-class VerificationReport(NamedTuple):
-    cases: list[VerificationCase]
+class VerificationReport(namedtuple("VerificationReport", "cases")):
+    """A sweep's cases, a list of VerificationCase in sweep order."""
+
+    __slots__ = ()
 
     @property
     def summary(self) -> dict:
@@ -94,7 +107,7 @@ class VerificationReport(NamedTuple):
         return all(c.match for c in self.cases)
 
 
-class Family(NamedTuple):
+class Family(namedtuple("Family", "parameters scope odd powers formula oracles")):
     """A family of graphs, as count, table, oracle and verify read it.
 
     parameters are the side sizes, summing to the vertex count; scope is the
@@ -104,19 +117,13 @@ class Family(NamedTuple):
     and look every function up when called: a patched attribute takes effect.
     """
 
-    parameters: tuple[str, ...]
-    scope: str
-    odd: bool
-    powers: Callable[..., list[tuple[int, int]]]
-    formula: Callable[..., int]
-    oracles: dict[str, Callable[..., int]]
+    __slots__ = ()
 
 
-class _CaseSpec(NamedTuple):
-    family: str
-    parameters: dict
-    oracle_kind: str
-    evaluate: Callable[[], tuple[int, int]]  # -> (formula_value, oracle_value)
+class _CaseSpec(namedtuple("_CaseSpec", "family parameters oracle_kind evaluate")):
+    """A case not yet run: evaluate() returns its (formula_value, oracle_value)."""
+
+    __slots__ = ()
 
     def run(self) -> VerificationCase:
         start = time.perf_counter()

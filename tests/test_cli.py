@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from itertools import product
@@ -17,6 +18,7 @@ from treecount.cli import (
     MAX_WORK,
     _check_bounds,
     _check_signsum_bounds,
+    count_text,
     main,
     table_lines,
 )
@@ -68,9 +70,19 @@ class TestCount:
         assert "--n" in err
 
     def test_nonpositive_size_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "count", "complete", "--n", "0")
-        assert code == 2
-        assert "error:" in err
+        # the formulas' own messages, whichever path would render the count
+        for argv, message in [
+            (("count", "complete", "--n", "0"), "n must be >= 1, got 0"),
+            (("count", "complete", "--n", "-5"), "n must be >= 1, got -5"),
+            (("count", "bipartite", "--m", "0", "--n", "3"), "m must be >= 1, got 0"),
+            (("count", "bipartite", "--m", "3", "--n", "0"), "n must be >= 1, got 0"),
+            (("count", "odd-bipartite", "--m", "0", "--n", "0"), "m must be >= 1, got 0"),
+            (
+                ("table", "--family", "complete", "--from", "0", "--to", "3"),
+                "range must satisfy 1 <= from <= to, got 0..3",
+            ),
+        ]:
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
     def test_degrees_needs_exactly_one_flavor(self, capsys):
         code, _, err = run_cli(capsys, "count", "degrees")
@@ -132,6 +144,13 @@ def int_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.fixture
+def unlimited_str(int_str_limit):
+    """Lift the digit limit for the reference str() of huge values."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 class TestHugeCounts:
     def test_count_beyond_4300_digits_prints_in_full(self, capsys, int_str_limit):
         code, out, err = run_cli(capsys, "count", "complete", "--n", "2000")
@@ -153,12 +172,94 @@ class TestHugeCounts:
         assert out == f"{50000 ** 49998}\n"
 
 
-class TestDecimalString:
-    @pytest.fixture(autouse=True)
-    def unlimited_str(self, int_str_limit):
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(0)  # the reference str() of huge values
+# the sizes whose totals come first to DECIMAL_SPLIT_BITS bits, sum p*log2(k) over their powers
+COMPLETE_SPLIT = next(n for n in range(3, 10**5) if (n - 2) * math.log2(n) >= DECIMAL_SPLIT_BITS)
+SQUARE_SPLIT = next(m for m in range(2, 10**5) if 2 * (m - 1) * math.log2(m) >= DECIMAL_SPLIT_BITS)
 
+
+@pytest.mark.usefixtures("unlimited_str")
+class TestCountText:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            *((n,) for n in range(1, 41)),
+            (COMPLETE_SPLIT - 1,),
+            (COMPLETE_SPLIT,),
+            (COMPLETE_SPLIT + 1,),
+            (50_000,),
+        ],
+    )
+    def test_complete_total_is_its_formula(self, sizes):
+        record = verify.FAMILIES["complete"]
+        assert count_text(record, sizes) == str(record.formula(*sizes))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (1, 1), (1, 2), (2, 1), (1, 70_000), (70_000, 1), (2, 40_000), (40_000, 2),
+            (SQUARE_SPLIT - 1, SQUARE_SPLIT - 1),
+            (SQUARE_SPLIT - 1, SQUARE_SPLIT),
+            (SQUARE_SPLIT, SQUARE_SPLIT),
+            (20, 60_000),
+        ],
+    )
+    def test_bipartite_total_is_its_formula(self, sizes):
+        record = verify.FAMILIES["bipartite"]
+        assert count_text(record, sizes) == str(record.formula(*sizes))
+
+    def test_the_split_sizes_straddle_the_threshold(self):
+        assert (COMPLETE_SPLIT - 1) ** (COMPLETE_SPLIT - 3) < 1 << DECIMAL_SPLIT_BITS
+        assert COMPLETE_SPLIT ** (COMPLETE_SPLIT - 2) >= 1 << DECIMAL_SPLIT_BITS
+        below = SQUARE_SPLIT - 1
+        assert below ** (2 * below - 2) < 1 << DECIMAL_SPLIT_BITS
+        assert SQUARE_SPLIT ** (2 * SQUARE_SPLIT - 2) >= 1 << DECIMAL_SPLIT_BITS
+
+    def test_million_digit_total_prints_in_full(self, capsys):
+        code, out, err = run_cli(capsys, "count", "complete", "--n", "189483")
+        assert (code, err) == (0, "")
+        digits = out.rstrip("\n")
+        assert len(digits) == MAX_DIGITS and digits.isdigit() and digits[0] != "0"
+        assert int(digits[-30:]) == pow(189483, 189481, 10**30)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "complete", "--n", "50000"),  # rounding drops nonzero digits
+            ("count", "bipartite", "--m", "10", "--n", "100000"),  # 10**100044: only zeros
+        ],
+        ids=" ".join,
+    )
+    def test_a_rounded_digit_is_an_internal_error(self, capsys, monkeypatch, argv):
+        import decimal
+
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)  # far too few digits for the count
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ")
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["count", "complete", "--n", "7"], False),
+            (["table", "--family", "bipartite", "--from", "1", "--to", "3"], False),
+            (["count", "complete", "--n", "5000"], True),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_only_large_totals_import_decimal(self, argv, loaded):
+        script = (
+            "import sys; from treecount.cli import main; code = main(sys.argv[1:]);"
+            " print(code, 'decimal' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, check=True, timeout=30,
+        )
+        assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+@pytest.mark.usefixtures("unlimited_str")
+class TestDecimalString:
     def test_small_values(self):
         for value in (0, 1, -1, 10, -999, 2 ** 64):
             assert decimal_string(value) == str(value)
