@@ -70,9 +70,14 @@ MAX_DIGITS = 1_000_000
 # the digit bound first.
 MAX_WORK = 150_000_000_000
 
-# signsum alone keeps terms times bits: priced as a count, terms * bits**1.585 against
-# MAX_WORK, --coeffs 1 --mode multinomial would be admitted up to power 1,926, and it
-# takes 6.9 s at power 1,400 against 1.4 s at 924, the largest power admitted here
+# signsum alone keeps terms times bits, linear in the bits, as its terms are often a few bits
+# wide and cost the interpreter's overhead, not a multiplication's.  Priced as a count,
+# terms * bits**1.585 against MAX_WORK, a direct-mode pair of 26 distinct powers of two at
+# power 0, a 27-bit term, would cost about 186 units, so their 2**26 pairs would be admitted
+# at 1.25e10, and they take 4.3 s; 28 of them would be admitted at 5.6e10.  The largest
+# queries admitted here, 20 ones in direct mode at power 104,926, 22 distinct powers of two
+# at power 0 and --coeffs 1 --mode multinomial at power 924, take about 0.5, 0.4 and 0.2 s
+# in a fresh process; 7 ones in direct mode at power 1,130,812, near the digit bound, 2.2 s
 # (same machine).
 MAX_KERNEL_BITS = 200_000_000
 
@@ -226,13 +231,12 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     most 2**n * s**power, whose digits bound the output.  Work is terms times
     bits: a direct term has at most power*log2(s) bits, one if s <= 1, and an
     expansion term's binomial C(power, k) up to power bits.  Direct mode is
-    still priced as a walk adding 2**n terms to a sum of up to n more bits, an
-    upper bound: it adds one term per pair of its two halves' form values, at
-    most min(2**n, (2*sL + 1) * (2*sR + 1)) of them, sL and sR each half's sum
-    of |a_i|, and its tallies hold at most 2**(n//2) + 2**(n - n//2) values.
-    The expansion builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
-    entries, then convolves t products per coefficient; an odd power returns 0
-    at once.
+    priced as it runs (signsum.pairing_bounds): one term of n bits, a count,
+    per layer value of its two half tallies, and one term of n more bits than
+    its form per pair of a left and a right value.  The expansion builds a
+    binomial table of t = (power/2 + 1)(power/2 + 2)/2 entries, then
+    convolves t products per coefficient; an odd power returns 0 at once.
+    Counts past the float range price at inf, never an OverflowError.
     """
     if power < 0:
         return  # the power sums reject it themselves
@@ -245,8 +249,9 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     form_bits = 1 + _times(power, math.log2(max(total, 1)))
     binomial_bits = 1 + _times(power, math.log2(max(total, 2)))
     work = 0.0
-    if mode != "multinomial" and n <= signsum.HYPERCUBE_LIMIT:  # above it, the sum refuses
-        work += 2 ** n * (n + form_bits)
+    if mode != "multinomial":
+        layers, pairs = signsum.pairing_bounds(coeffs)
+        work += _times(layers, float(n)) + _times(pairs, n + form_bits)
     if mode != "direct" and power % 2 == 0:
         half = power // 2
         work += _times((n + 1) * (half + 1) * (half + 2) // 2, binomial_bits)

@@ -20,7 +20,9 @@ Three evaluation strategies for the same family of quantities:
 
 All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
-so every identity check is bit-exact.
+so every identity check is bit-exact.  None of the three bounds its own
+size: the CLI prices each query before running it, hypercube_power_sum's
+through pairing_bounds.
 
 even_multinomial_sum also gives formulas the composition-sum form of the
 odd spanning-tree counts.  It sums over the even compositions without
@@ -32,15 +34,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .combinatorics import SizeLimitError
-
 CoefficientVector = Sequence[int]
-
-# Kept only so that the CLI admits the same direct-mode queries, which it still prices as
-# a walk of 2**n terms: the sum adds at most min(2**n, (2*sL + 1) * (2*sR + 1)) terms, sL and
-# sR the sums of |ai| over the two halves, so [1] * 24 at power 24 takes 0.1 ms, and 24 powers
-# of two keep 2 * 2**12 tally values and take 1.3 s at power 0 (2-core Xeon, Python 3.11).
-HYPERCUBE_LIMIT = 24
 
 
 def _form_tally(coeffs: CoefficientVector) -> dict[int, int]:
@@ -71,16 +65,12 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     over the halves.  That is never more than the 2**n vectors, and the
     tallies hold at most 2**(n//2) + 2**(n - n//2) values even when every
     vector has a form of its own.  No binomial or multinomial is used, so
-    this stays an independent check of the other two strategies.  Bounded
-    at n <= HYPERCUBE_LIMIT.
+    this stays an independent check of the other two strategies.  It has no
+    size bound of its own: pairing_bounds bounds its layers and pairs.
     """
     n = len(coeffs)
     if n < 1:
         raise ValueError("hypercube_power_sum() needs at least one coefficient")
-    if n > HYPERCUBE_LIMIT:
-        raise SizeLimitError(
-            f"direct hypercube enumeration is bounded at n <= {HYPERCUBE_LIMIT}, got {n}"
-        )
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     left, right = _form_tally(coeffs[: n // 2]), _form_tally(coeffs[n // 2 :]).items()
@@ -88,6 +78,29 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
         left_count * sum(count * (left_value + value) ** power for value, count in right)
         for left_value, left_count in left.items()
     )
+
+
+def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int]:
+    """Bounds on the layer values and on the pairs that hypercube_power_sum makes.
+
+    Its two halves, split as it splits them, are tallied by layers
+    (_form_tally): the layer after k coefficients of a half, with s their
+    sum of |ai|, holds at most min(2**k, 2*s + 1) values.  The first bound
+    sums that over both halves' layers, the second multiplies the two
+    halves' last ones, as every left value is paired with every right one.
+    2**k is only built while it is the smaller, so a list of thousands of
+    coefficients is bounded in as many small steps.
+    """
+    n = len(coeffs)
+    layers, pairs = 0, 1
+    for half in (coeffs[: n // 2], coeffs[n // 2 :]):
+        values, s = 1, 0
+        for k, a in enumerate(half, 1):
+            s += abs(a)
+            values = 1 << k if k < (2 * s + 1).bit_length() else 2 * s + 1
+            layers += values
+        pairs *= values
+    return layers, pairs
 
 
 def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
@@ -100,15 +113,23 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     cosh(w*x), whose coefficients w**k/k! sit at even k only.  In
     exponential form that product is the convolution
     a'[t] = sum over even k <= t of C(t, k) * w**k * a[t-k], and only the
-    even-indexed entries a[2j] are ever nonzero.  Every step is an exact
-    integer product; nothing is divided.
+    even-indexed entries a[2j] are ever nonzero.  Row j of the binomial
+    table, the C(2j, 2i), is built from its own entries by
+    C(2j, 2i+2) = C(2j, 2i) * (2j-2i) * (2j-2i-1) / ((2i+1) * (2i+2)), an
+    exact division; the convolution itself is exact integer products.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     if power % 2:
         return 0
     half = power // 2
-    choose = [[math.comb(2 * j, 2 * i) for i in range(j + 1)] for j in range(half + 1)]
+    choose = []  # choose[j][i] is C(2j, 2i)
+    for top in range(0, power + 1, 2):
+        row = [c := 1]
+        for k in range(1, top, 2):  # C(top, k + 1) from C(top, k - 1)
+            c = c * (top - k + 1) * (top - k) // (k * (k + 1))
+            row.append(c)
+        choose.append(row)
     series = [1] + [0] * half  # series[j] is the sum for the total 2j so far
     for w in weights:
         square = w * w
@@ -127,8 +148,8 @@ def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
     `power`, of  power!/(k1!...kn!) * a1**k1 * ... * an**kn.  Terms with an
     odd exponent anywhere cancel between mirrored sign vectors, which is
     why only even compositions appear; an odd `power` therefore gives 0.
-    The sum is even_multinomial_sum's convolution, so unlike
-    hypercube_power_sum this form has no size bound.
+    The sum is even_multinomial_sum's convolution, whose cost grows with
+    n * power**2 whatever the coefficients.
     """
     n = len(coeffs)
     if n < 1:
@@ -141,7 +162,8 @@ def binomial_power_sum(n: int, power: int) -> int:
 
     This is hypercube_power_sum with all-ones coefficients: a sign vector
     with k entries equal to +1 has linear form 2k - n, and there are
-    C(n,k) such vectors.  Unlike hypercube_power_sum it has no size bound.
+    C(n,k) such vectors.  It sums about n/2 terms, where
+    hypercube_power_sum pairs about (n/2 + 1)**2 tally values.
 
     The k and n-k terms have equal binomials and opposite forms, so an odd
     power gives 0 without summing, and an even power gives twice the sum

@@ -364,7 +364,8 @@ class TestPastTheFloatRange:
 
     @pytest.mark.parametrize("power", ["10**400", "300000000"])
     def test_direct_sum_of_unit_forms_prints_two(self, capsys, power):
-        # the forms of --coeffs 1 are 1 and -1, so the walk adds two one-bit terms at any power
+        # the empty left tally's one value 0 pairs with the forms 1 and -1 of --coeffs 1: two
+        # one-bit terms at any power
         argv = ["signsum", "--coeffs", "1", "--power", HUGE.get(power, power), "--mode", "direct"]
         assert run_cli(capsys, *argv) == (0, "2\n", "")
 
@@ -798,8 +799,9 @@ class TestSignsum:
             (["--coeffs", "9", "--power", "3000000", "--mode", "direct"], "digits"),
             (["--coeffs", "1", "--power", "100000", "--mode", "multinomial"], "bits of terms"),
             (["--coeffs", "1,2", "--power", "3000000"], "digits"),
-            (["--coeffs", ",".join(["1"] * 23), "--power", "0", "--mode", "direct"],
-             "bits of terms"),
+            # all 2**23 forms are distinct, so the sum pairs 2**11 values with 2**12
+            (["--coeffs", ",".join(str(2**i) for i in range(23)), "--power", "0", "--mode",
+              "direct"], "bits of terms"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )
@@ -815,11 +817,12 @@ class TestSignsum:
     @pytest.mark.parametrize(
         "coeffs, mode, largest",
         [
-            ([1], "multinomial", 924),  # about 1.4 s (2-core Xeon, Python 3.11)
+            ([1], "multinomial", 924),  # about 0.2 s (2-core Xeon, Python 3.11)
             ([1, 2], "both", 692),
             ([1] * 30, "multinomial", 216),
-            ([1] * 20, "direct", 38),  # 2**20 terms
+            ([1] * 20, "direct", 104_926),  # 21 * 21 priced pairs, about 0.5 s
             ([9], "direct", 1_047_950),  # the digit bound: 9**power has a million digits
+            ([2**i for i in range(22)], "direct", 0),  # 2**22 pairs of distinct forms, 0.4 s
         ],
     )
     def test_bound_falls_between_two_even_powers(self, coeffs, mode, largest):
@@ -832,13 +835,34 @@ class TestSignsum:
             capsys, "signsum", "--coeffs", "1", "--power", "100001", "--mode", "multinomial"
         ) == (0, "0\n", "")
 
-    def test_direct_mode_size_limit_is_usage_error(self, capsys):
-        coeffs = ",".join(["1"] * 25)
-        code, _, err = run_cli(
-            capsys, "signsum", "--coeffs", coeffs, "--power", "2", "--mode", "direct"
-        )
-        assert code == 2
-        assert "error:" in err
+    def test_forty_ones_match_in_both_modes(self, capsys):
+        # 2**40 sign vectors, but each half's tally keeps 21 form values
+        value = binomial_power_sum(40, 40)
+        argv = ["--coeffs", ",".join(["1"] * 40), "--power", "40", "--mode", "both"]
+        assert run_cli(capsys, "signsum", *argv) == (0, f"{value}\n{value}\nmatch\n", "")
+
+    @pytest.mark.parametrize("n", [2000, 3000])
+    @pytest.mark.parametrize(
+        "shape, code",
+        [
+            ("zeros", 0),  # one form value, 0, in every layer
+            ("ones", 2),
+            ("powers of two", 2),  # 2**n pairs, past the float range
+            ("10**400", 2),  # layers of 2**k values, past the float range from n = 3000 on
+        ],
+    )
+    def test_thousands_of_coefficients_meet_the_bound(self, capsys, n, shape, code):
+        coeffs = {
+            "zeros": [0] * n,
+            "ones": [1] * n,
+            "powers of two": [2**i for i in range(n)],
+            "10**400": [10**400] * n,
+        }[shape]
+        argv = ["--coeffs", ",".join(map(str, coeffs)), "--power", "0", "--mode", "direct"]
+        if code == 0:
+            assert run_cli(capsys, "signsum", *argv) == (0, f"{2**n}\n", "")
+        else:
+            assert_usage_error(*run_cli(capsys, "signsum", *argv))
 
 
 class TestOracle:

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecount.combinatorics import SizeLimitError
 from treecount.signsum import (
-    HYPERCUBE_LIMIT,
+    _form_tally,
     binomial_power_sum,
     even_multinomial_sum,
     hypercube_power_sum,
     multinomial_power_sum,
+    pairing_bounds,
 )
 
 
@@ -63,7 +63,7 @@ class TestHypercubePowerSum:
     def test_tally_equals_naive_enumeration(self, coeffs, power):
         assert hypercube_power_sum(coeffs, power) == naive_power_sum(coeffs, power)
 
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=HYPERCUBE_LIMIT))
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
     def test_tally_counts_every_sign_vector_at_power_zero(self, coeffs):
         assert hypercube_power_sum(coeffs, 0) == 2 ** len(coeffs)
 
@@ -81,14 +81,10 @@ class TestHypercubePowerSum:
             for power in range(4):
                 assert hypercube_power_sum(coeffs, power) == naive_power_sum(coeffs, power)
 
-    def test_all_ones_up_to_the_limit(self):
-        # 2**24 sign vectors at n = 24, but each half's tally keeps at most 13 form values
-        for n in range(1, HYPERCUBE_LIMIT + 1):
+    def test_all_ones_up_to_forty(self):
+        # 2**40 sign vectors at n = 40, but each half's tally keeps 21 form values
+        for n in range(1, 41):
             assert hypercube_power_sum([1] * n, n) == binomial_power_sum(n, n)
-
-    def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            hypercube_power_sum([1] * (HYPERCUBE_LIMIT + 1), 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +93,36 @@ class TestHypercubePowerSum:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             hypercube_power_sum([1], -1)
+
+
+class TestPairingBounds:
+    """pairing_bounds bounds the tally layers and the pairs hypercube_power_sum makes."""
+
+    @staticmethod
+    def check(coeffs):
+        layers, pairs = pairing_bounds(coeffs)
+        halves = coeffs[: len(coeffs) // 2], coeffs[len(coeffs) // 2 :]
+        assert pairs >= math.prod(len(_form_tally(half)) for half in halves)
+        # the layer after k coefficients is the tally of the first k
+        made = sum(
+            len(_form_tally(half[:k])) for half in halves for k in range(1, len(half) + 1)
+        )
+        assert layers >= made
+        return layers, pairs
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+    def test_small_coefficients(self, coeffs):
+        self.check(coeffs)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_distinct_powers_of_two_meet_both_bounds(self, n):
+        # every sign vector has a form of its own, so every bound is met
+        layers = 2 ** (n // 2 + 1) - 2 + 2 ** (n - n // 2 + 1) - 2  # 2 + 4 + ... per half
+        assert self.check([2**i for i in range(n)]) == (layers, 2**n)
+
+    def test_ones(self):
+        # a half of k ones has the k + 1 values -k, -k+2, ..., k; the bound counts 2k + 1
+        assert pairing_bounds([1] * 40) == (2 * (2 + 4 + 7 + sum(range(9, 42, 2))), 41 * 41)
 
 
 class TestMultinomialPowerSum:
@@ -142,7 +168,7 @@ class TestMultinomialPowerSum:
         assert hypercube_power_sum(coeffs, power) == 0
 
     def test_all_ones_past_hypercube_limit(self):
-        for n in range(HYPERCUBE_LIMIT + 1, 41):
+        for n in range(25, 41):
             for power in range(n + 1):
                 assert multinomial_power_sum([1] * n, power) == binomial_power_sum(
                     n, power
@@ -156,6 +182,14 @@ class TestEvenMultinomialSum:
         assert even_multinomial_sum([1, 1], 4) == 8
         # 3**2 and 5**2 from the two single-part compositions
         assert even_multinomial_sum([3, 5], 2) == 34
+
+    def test_every_binomial_of_the_table(self):
+        # the sum over even k of C(p, k) * w**k: with w = 2**p above every C(p, k), each
+        # binomial of the table's last row is a digit of its own in base w, so a wrong entry
+        # changes the value, and the powers p cover every row
+        for p in range(0, 301, 2):
+            w = 2**p
+            assert even_multinomial_sum([1, w], p) == ((1 + w) ** p + (1 - w) ** p) // 2
 
     def test_empty_product(self):
         assert even_multinomial_sum([], 0) == 1
