@@ -15,14 +15,12 @@ count and oracle read each option their query needs and reject any other
 given option as a usage error: no option is silently ignored.  oracle
 matrix-tree takes graphs of at most MATRIX_TREE_LIMIT vertices.
 
-count <family> and table print counts of at most MAX_DIGITS digits: the
-digits of the family's total, the product of the family's powers, which
-bounds every count.  They also sum the work of their rows, a count being a
-one-row table, against MAX_WORK, and stop at the first row that crosses it.
-An odd count that is 0 by parity costs its one digit and is left out of the
-digit bound.  Both are checked before any arithmetic; a query above either
-is a usage error.  signsum is held to MAX_DIGITS on 2**n * (sum |a_i|)**power,
-which bounds the sum, and to MAX_KERNEL_BITS on the work of the mode it runs.
+count <family> and table print counts of at most MAX_DIGITS digits, and
+sum the work of their rows, a count being a one-row table, against
+MAX_WORK; _row prices a row.  Both are checked before any arithmetic; a
+query above either is a usage error.  signsum is held to MAX_DIGITS on
+2**n * (sum |a_i|)**power, which bounds the sum, and to MAX_KERNEL_BITS on
+the work of the mode it runs.
 count_text raises a large total straight in decimal arithmetic from its
 powers, so no binary int is converted; odd counts, degree counts and signsum
 values are still computed as ints and converted by decimal_string, in
@@ -51,15 +49,12 @@ MATRIX_TREE_LIMIT = 100
 # binary (2-core Xeon, Python 3.11.7); K_n at n = 10**9 would never finish.
 MAX_DIGITS = 1_000_000
 
-# The work of a query's counts, summed over its rows as _check_bounds prices them: a count
-# is a one-row table.  The largest nonzero odd counts admitted, odd-complete n = 5,592 and
+# The work of a query's counts, summed over its rows as _row prices them: a count is a
+# one-row table.  The largest nonzero odd counts admitted, odd-complete n = 5,592 and
 # odd-bipartite m = n = 4,347, take about 0.9 and 0.8 s in a fresh process, and the rest
 # of odd-bipartite's frontier, odd m = 3..20,001, 0.4 to 1.6 s (2-core Xeon, Python
-# 3.11.7).  A side's sum is priced at its (n + 1) // 2 terms, an upper bound, as the
-# kernel raises only the odd primes among its weights to the power (238 for n = 3,000)
-# and K_{m,m} sums its one pair once.  A million-digit total costs 1.08e11, so totals meet
-# the digit bound first.  Odd counts with an odd power are 0 and cost one digit each, at
-# any size.  odd-complete 2..600 costs 4.8e10 and takes 0.1 to 0.25 s; the largest tables
+# 3.11.7).  A million-digit total costs 1.08e11, so totals meet the digit bound first.
+# odd-complete 2..600 costs 4.8e10 and takes 0.1 to 0.25 s; the largest tables
 # admitted, odd-complete 2..971, odd-bipartite 1..250, bipartite 1..341 and complete
 # 1..3,690, take 0.8 to 1.3, 3.2, 4.0 to 4.2 and 3.8 s (2-core Xeon, Python 3.11.7).  The
 # rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
@@ -147,11 +142,6 @@ def count_text(record: verify.Family, sizes: Sequence[int]) -> str:
     return decimal_string(record.formula(*sizes))
 
 
-def _zero_by_parity(record: verify.Family, sizes: Sequence[int]) -> bool:
-    """An odd count with an odd power: formulas returns it as 0 without any sum."""
-    return record.odd and any(p % 2 for _, p in record.powers(*sizes))
-
-
 def _times(size: int, factor: float) -> float:
     """size * factor for an int of any length: 0 if factor is 0, inf past the float range."""
     if not factor:
@@ -162,37 +152,49 @@ def _times(size: int, factor: float) -> float:
         return math.inf
 
 
-def _measures(record: verify.Family, sizes: Sequence[int]) -> tuple[float, list[tuple[int, float]]]:
-    """The digits of the family's total, and the terms and bits of each odd-count sum.
+def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float | None, float]:
+    """The digits of the family's total at `sizes`, None when 0 by parity, and the row's work.
 
-    The total is the product of the family's powers k**p.  A sum (k, p)
-    adds (k + 1) // 2 terms of k + p*log2(k) bits, one per base: an upper
-    bound, as binomial_power_sum raises only the odd primes among its
-    weights to the power and pushes the other weights by shifts and short
-    powers, and a pair that repeats, as K_{m,m}'s does, is summed once.  A
-    sum at p = 0 is left out, as formulas._bracket returns 1 without
-    summing.  Sizes past the float range measure inf, unless a factor of 0
-    (a star K_{1,n}) cancels them.
+    The total is the product of the family's powers k**p.  An odd count with
+    an odd power is 0, as formulas returns it without any sum: its row costs
+    the one digit of "0".  Any other row costs terms * bits**1.585 (Karatsuba
+    multiplication) for each sum of an odd count, or for the one power of a
+    total; four such terms of the count's bits for its decimal rendering; and
+    its digits.  A sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits,
+    one per base: an upper bound, as binomial_power_sum raises only the odd
+    primes among its weights to the power and pushes the other weights by
+    shifts and short powers, and a pair that repeats, as K_{m,m}'s does, is
+    summed once.  A sum at p = 0 is left out, as formulas._bracket returns 1
+    without summing.  Sizes past the float range measure inf, unless a factor
+    of 0 (a star K_{1,n}) cancels them; so does a work past the float range.
     """
     powers = record.powers(*sizes)
-    return sum(_times(p, math.log10(k)) for k, p in powers), [
-        ((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k))) for k, p in powers if p
-    ]
+    if record.odd and any(p % 2 for _, p in powers):
+        return None, 1.0
+    digits = sum(_times(p, math.log10(k)) for k, p in powers)
+    bits = digits * math.log2(10)
+    priced = (
+        [((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k))) for k, p in powers if p]
+        if record.odd
+        else [(1, bits)]
+    )
+    try:
+        work = sum(_times(terms, b**1.585) for terms, b in priced) + 4 * bits**1.585 + digits
+    except OverflowError:  # a power past the float range, far above the digit bound
+        work = math.inf
+    return digits, work
 
 
 def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:
     """Reject the counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
     The counts are those of every size tuple between the two, one row each, so
-    a single count is the one-row table first == last.  A row that is 0 by
-    parity (_zero_by_parity) prints its one digit and costs only that.  Odd
-    and degree-constrained counts never exceed the family's total, so the
+    a single count is the one-row table first == last; _row prices each row.
+    Odd and degree-constrained counts never exceed the family's total, so the
     digits of the total of the last row not 0 by parity, from logarithms
-    alone, bound every count.  Any other row costs terms * bits**1.585
-    (Karatsuba multiplication) for each sum of an odd count, or for the one
-    power of a total; four such terms of the count's bits for its decimal
-    rendering; and its digits.  The sum stops at the first row that crosses
-    the bound, so a huge table is rejected after a few of its rows.
+    alone, bound every count.  The work sums from the first row and stops at
+    the first row that crosses the bound, so a huge table is rejected after a
+    few of its rows.
     """
     if min(first) < 1:
         return  # the formula rejects the size itself
@@ -200,22 +202,14 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> Non
     # last two sizes hold the last row not 0 by parity, if there is one.
     tail = product(*(range(b, max(a, b - 1) - 1, -1) for a, b in zip(first, last)))
     record = verify.FAMILIES[family]
-    largest = next((sizes for sizes in tail if not _zero_by_parity(record, sizes)), None)
-    if largest is not None:
-        digits, _ = _measures(record, largest)
-        if digits > MAX_DIGITS:
-            raise SizeLimitError(
-                f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
-            )
+    digits = next((d for d, _ in (_row(record, sizes) for sizes in tail) if d is not None), None)
+    if digits is not None and digits > MAX_DIGITS:
+        raise SizeLimitError(
+            f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
+        )
     work = 0.0
     for sizes in product(*(range(a, b + 1) for a, b in zip(first, last))):
-        if _zero_by_parity(record, sizes):
-            work += 1  # the one digit of "0"
-            continue
-        digits, sums = _measures(record, sizes)
-        bits = digits * math.log2(10)
-        priced = sums if record.odd else [(1, bits)]
-        work += sum(_times(terms, b**1.585) for terms, b in priced) + 4 * bits**1.585 + digits
+        work += _row(record, sizes)[1]
         if work > MAX_WORK:
             row = ", ".join(f"{name}={size}" for name, size in zip(record.parameters, sizes))
             raise SizeLimitError(
@@ -438,21 +432,15 @@ def _run_signsum(args) -> int:
     if not coeffs:
         raise ValueError("--coeffs must not be empty")
     _check_signsum_bounds(coeffs, power, args.mode)
-    if args.mode == "direct":
-        print(decimal_string(signsum.hypercube_power_sum(coeffs, power)))
+    forms = (("direct", signsum.hypercube_power_sum), ("multinomial", signsum.multinomial_power_sum))
+    values = [form(coeffs, power) for mode, form in forms if args.mode in (mode, "both")]
+    for value in values:
+        print(decimal_string(value))
+    if len(values) == 1:
         return 0
-    if args.mode == "multinomial":
-        print(decimal_string(signsum.multinomial_power_sum(coeffs, power)))
-        return 0
-    direct = signsum.hypercube_power_sum(coeffs, power)
-    expanded = signsum.multinomial_power_sum(coeffs, power)
-    print(decimal_string(direct))
-    print(decimal_string(expanded))
-    if direct == expanded:
-        print("match")
-        return 0
-    print("mismatch")
-    return 1
+    match = values[0] == values[1]
+    print("match" if match else "mismatch")
+    return 0 if match else 1
 
 
 def _run_oracle(args) -> int:

@@ -318,8 +318,9 @@ class TestDigitBound:
             assert run_cli(capsys, *argv) == (0, f"{count}\n", "")
 
 
-# sizes and powers past the float range (about 1.8e308), named as the queries below write them
-HUGE = {"10**400": str(10**400), "10**400+1": str(10**400 + 1)}
+# sizes and powers past the float range (about 1.8e308), named as the queries below write them,
+# and sizes inside it whose price, a float raised to 1.585, is past it
+HUGE = {"10**400": str(10**400), "10**400+1": str(10**400 + 1), "10**200": str(10**200)}
 SIGNSUM_MODES = ("", " --mode direct", " --mode multinomial")
 
 
@@ -334,6 +335,9 @@ class TestPastTheFloatRange:
             ("count bipartite --m 3 --n 10**400", "digits"),
             ("count odd-bipartite --m 3 --n 10**400+1", "digits"),
             ("table --family complete --from 1 --to 10**400", "digits"),
+            ("count complete --n 10**200", "digits"),
+            ("count odd-complete --n 10**200", "digits"),
+            ("table --family bipartite --from 1 --to 10**200", "digits"),
             *((f"signsum --coeffs 1,2 --power 10**400{mode}", "digits") for mode in SIGNSUM_MODES),
             # 2 * 1**power has one digit, so the work bound refuses these: the expansion's
             # binomials are power bits wide

@@ -1,10 +1,17 @@
 """Tests for the verification sweep engine."""
 
+import ast
+import functools
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
 from treecount import verify
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def strip_elapsed(records):
@@ -113,6 +120,55 @@ class TestCaseContract:
             "odd-bipartite",
             "degrees-bipartite",
         }
+
+    def test_every_name_the_benchmark_looks_up_resolves(self):
+        # read from perfbench's source with ast, never imported: tracing.py patches namespaces
+        tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+        workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+        names = set()  # (module, dotted name in it)
+        for node in tracing.body:
+            if isinstance(node, ast.Assign) and node.targets[0].id in ("SPANNED", "AGGREGATED"):
+                names.update(ast.literal_eval(node.value))
+        for node in ast.walk(tracing):  # modules["cli"].build_parser
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript):
+                if getattr(node.value.value, "id", None) == "modules":
+                    names.add((ast.literal_eval(node.value.slice), node.attr))
+        aliases = {}  # local name -> treecount module
+        for node in ast.walk(workloads):
+            if isinstance(node, ast.ImportFrom) and node.module == "treecount":
+                aliases.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname and alias.name.startswith("treecount."):
+                        aliases[alias.asname] = alias.name.split(".", 1)[1]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PairOp":
+                module, *functions = (ast.literal_eval(arg) for arg in node.args[:3])
+                names.update((module, function) for function in functions)
+        for node in ast.walk(workloads):  # oracles.LabeledGraph.complete_bipartite
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in aliases:
+                names.add((aliases[node.id], ".".join(chain)))
+        assert {
+            ("signsum", "multinomial_power_sum"),
+            ("formulas", "odd_spanning_trees_complete_by_sum"),
+            ("combinatorics", "even_compositions"),
+            ("cli", "build_parser"),
+            ("cli", "main"),
+            ("oracles", "matrix_tree_count"),
+            ("oracles", "count_trees_complete_brute"),
+            ("oracles", "count_trees_bipartite_brute"),
+            ("oracles", "LabeledGraph.complete_bipartite"),
+        } <= names
+        missing = []
+        for module, name in sorted(names):
+            try:
+                functools.reduce(getattr, name.split("."), importlib.import_module(f"treecount.{module}"))
+            except (ImportError, AttributeError):
+                missing.append(f"{module}.{name}")
+        assert missing == []
 
 
 class TestRendering:
