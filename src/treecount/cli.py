@@ -228,8 +228,12 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     priced as it runs (signsum.pairing_bounds): one term of n bits, a count,
     per layer value of its two half tallies, and one term of n more bits than
     its form per pair of a left and a right value.  The expansion builds a
-    binomial table of t = (power/2 + 1)(power/2 + 2)/2 entries, then
-    convolves t products per coefficient; an odd power returns 0 at once.
+    binomial table of t = (power/2 + 1)(power/2 + 2)/2 entries, then is
+    priced at t products per coefficient; an odd power returns 0 at once.
+    That price is an upper bound: signsum.even_multinomial_sum raises each
+    distinct |a_i|'s series to its multiplicity by repeated squaring, which
+    makes at most as many convolutions as one per coefficient, and skips
+    the zeros.
     Counts past the float range price at inf, never an OverflowError.
     """
     if power < 0:

@@ -26,7 +26,9 @@ through pairing_bounds.
 
 even_multinomial_sum also gives formulas the composition-sum form of the
 odd spanning-tree counts.  It sums over the even compositions without
-listing them, so its cost grows with n * power**2, not with their number.
+listing them, one cosh series per distinct |weight| raised to its
+multiplicity by repeated squaring, so its cost grows with power**2 times
+log2(n) per distinct |weight|, not with the number of compositions.
 """
 
 from __future__ import annotations
@@ -109,14 +111,23 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     The compositions (k1, ..., kn) of `power` have every ki even, so an
     odd `power` gives 0; with no weights, only power 0 has a composition
     (the empty one), worth 1.  The sum is power! * [x**power] of
-    prod(cosh(wi*x)): each weight multiplies the running series by
-    cosh(w*x), whose coefficients w**k/k! sit at even k only.  In
-    exponential form that product is the convolution
-    a'[t] = sum over even k <= t of C(t, k) * w**k * a[t-k], and only the
-    even-indexed entries a[2j] are ever nonzero.  Row j of the binomial
-    table, the C(2j, 2i), is built from its own entries by
+    prod(cosh(wi*x)), each cosh(w*x) the exponential series whose
+    coefficients w**k/k! sit at even k only.  In exponential form the
+    product of two such series a and b is the convolution
+    c[2j] = sum over i <= j of C(2j, 2i) * a[2i] * b[2j-2i], and only the
+    even-indexed entries are ever nonzero, so a series is kept as the list
+    of its entries at 0, 2, ..., power.  Row j of the binomial table,
+    the C(2j, 2i), is built from its own entries by
     C(2j, 2i+2) = C(2j, 2i) * (2j-2i) * (2j-2i-1) / ((2i+1) * (2i+2)), an
     exact division; the convolution itself is exact integer products.
+
+    cosh is even, so the weights are tallied by their squares s, and a
+    square of 0, cosh(0) = 1, is skipped.  The series [s**i] of each other
+    square is raised to its multiplicity by repeated squaring, and the
+    first factor taken stands in for the series 1 without a product.  A
+    product costs about power**2/8 terms, and a square of multiplicity m
+    takes at most 2 * log2(m) products, never more than m: n equal
+    weights, as in the odd counts, take about 2 * log2(n), not n.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
@@ -130,14 +141,30 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
             c = c * (top - k + 1) * (top - k) // (k * (k + 1))
             row.append(c)
         choose.append(row)
-    series = [1] + [0] * half  # series[j] is the sum for the total 2j so far
+
+    def product(a: list[int], b: list[int]) -> list[int]:
+        return [
+            sum(row[i] * a[i] * b[j - i] for i in range(j + 1)) for j, row in enumerate(choose)
+        ]
+
+    multiplicity: dict[int, int] = {}
     for w in weights:
         square = w * w
-        scaled = [square ** i for i in range(half + 1)]
-        series = [
-            sum(row[i] * scaled[i] * series[j - i] for i in range(j + 1))
-            for j, row in enumerate(choose)
-        ]
+        multiplicity[square] = multiplicity.get(square, 0) + 1
+    series: list[int] | None = None  # the product so far; None stands for the series 1
+    for square, times in multiplicity.items():
+        if not square:
+            continue
+        factor = [square**i for i in range(half + 1)]  # raised to 1, 2, 4, ... as times halves
+        while True:
+            if times & 1:
+                series = factor if series is None else product(series, factor)
+            times >>= 1
+            if not times:
+                break
+            factor = product(factor, factor)
+    if series is None:
+        return 0 if half else 1
     return series[half]
 
 
@@ -149,7 +176,7 @@ def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
     odd exponent anywhere cancel between mirrored sign vectors, which is
     why only even compositions appear; an odd `power` therefore gives 0.
     The sum is even_multinomial_sum's convolution, whose cost grows with
-    n * power**2 whatever the coefficients.
+    power**2 times log2(n) per distinct |ai|.
     """
     n = len(coeffs)
     if n < 1:

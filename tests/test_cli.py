@@ -18,6 +18,7 @@ from treecount.cli import (
     MAX_WORK,
     _check_bounds,
     _check_signsum_bounds,
+    _row,
     count_text,
     main,
     table_lines,
@@ -397,6 +398,21 @@ class TestZeroByParity:
         with pytest.raises(ValueError, match="digits is above the bound"):
             _check_bounds("odd-bipartite", [1, 1], [1000002, 1000002])
         _check_bounds("odd-bipartite", [1000002, 999999], [1000002, 1000002])  # every row 0
+
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [
+            ("odd-complete", (3,)),
+            ("odd-complete", (189485,)),
+            ("odd-bipartite", (2, 5)),
+            ("odd-bipartite", (3, 4)),
+            ("odd-bipartite", (2, 10**400)),
+        ],
+        ids=str,
+    )
+    def test_zero_row_costs_exactly_one(self, family, sizes):
+        # the one digit of "0": no sum, no rendering weight
+        assert _row(verify.FAMILIES[family], sizes) == (None, 1.0)
 
 
 def check_table(family, start, stop):

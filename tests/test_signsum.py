@@ -1,6 +1,7 @@
 """Tests for the sign-hypercube power sums, against naive enumeration."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -29,6 +30,27 @@ def naive_power_sum(coeffs, power):
         linear = sum(a * y for a, y in zip(coeffs, signs))
         total += linear ** power
     return total
+
+
+def per_weight_even_multinomial_sum(weights, power):
+    """Reference: power! * [x**power] prod(cosh(w*x)), one convolution per weight.
+
+    The running exponential series is multiplied by each weight's cosh(w*x) in
+    turn, a'[2j] = sum over i <= j of C(2j, 2i) * w**(2i) * a[2j-2i], with the
+    binomials from math.comb: no tally by square and no repeated squaring.
+    """
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    if power % 2:
+        return 0
+    half = power // 2
+    series = [1] + [0] * half  # series[j] is the sum for the total 2j so far
+    for w in weights:
+        series = [
+            sum(math.comb(2 * j, 2 * i) * w ** (2 * i) * series[j - i] for i in range(j + 1))
+            for j in range(half + 1)
+        ]
+    return series[half]
 
 
 coeff_vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=8)
@@ -195,9 +217,33 @@ class TestEvenMultinomialSum:
         assert even_multinomial_sum([], 0) == 1
         assert even_multinomial_sum([], 2) == 0
 
+    def test_equals_per_weight_reference(self):
+        # seeded weight lists with repeats, zeros and negatives, the all-zero lists and []
+        rng = random.Random(22)
+        lists = [[], *([0] * n for n in range(1, 13))]
+        for n in range(1, 13):
+            lists += [[rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(n)] for _ in range(3)]
+            lists += [[1] * n, [-2] * n, [rng.randint(-9, 9)] * n]
+        for weights in lists:
+            for power in range(0, 25):
+                assert even_multinomial_sum(weights, power) == per_weight_even_multinomial_sum(
+                    weights, power
+                ), (weights, power)
+
+    def test_multiplicities_cover_every_binary_digit(self):
+        # every multiplicity up to 40, alone and with a second square whose factors
+        # are multiplied into the first one's product
+        for n in range(1, 41):
+            for weights in ([1] * n, [1] * n + [2] * (n % 5)):
+                assert even_multinomial_sum(weights, 8) == per_weight_even_multinomial_sum(
+                    weights, 8
+                ), weights
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             even_multinomial_sum([1], -2)
+        with pytest.raises(ValueError):
+            even_multinomial_sum([], -1)
 
 
 class TestBinomialPowerSum:
