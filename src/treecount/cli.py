@@ -17,10 +17,12 @@ matrix-tree takes graphs of at most MATRIX_TREE_LIMIT vertices.
 
 count <family> and table print counts of at most MAX_DIGITS digits, and
 sum the work of their rows, a count being a one-row table, against
-MAX_WORK; _row prices a row.  Both are checked before any arithmetic; a
-query above either is a usage error.  signsum is held to MAX_DIGITS on
-2**n * (sum |a_i|)**power, which bounds the sum, and to MAX_KERNEL_BITS on
-the work of the mode it runs.
+MAX_WORK; _row prices a row.  signsum is held to MAX_DIGITS on
+2**n * (sum |a_i|)**power, which bounds the sum, and to MAX_WORK on the
+work of the modes it runs.  _work is the one price of both: big-int terms
+at bits**1.585, at least TERM_FLOOR per multiplication, and the rendering
+of the value.  Both bounds are checked before any arithmetic; a query above
+either is a usage error.
 count_text raises a large total straight in decimal arithmetic from its
 powers, so no binary int is converted; odd counts, degree counts and signsum
 values are still computed as ints and converted by decimal_string, in
@@ -62,19 +64,21 @@ MAX_DIGITS = 1_000_000
 # 0.8 to 8.4 for complete n = 100..20,000 (same machine).  A total of DECIMAL_SPLIT_BITS
 # bits or more is raised in decimal arithmetic, with nothing to convert, so the weight
 # overstates it; the weight, and with it every frontier above, is kept, as totals meet
-# the digit bound first.
+# the digit bound first.  The largest sign sums admitted, 20 ones in direct mode at power
+# 123,734, the 22 distinct powers of two 1..2**21 in direct mode at power 2, --coeffs 1
+# --mode multinomial at power 2,338 and 30 ones in multinomial mode at power 668, take
+# about 0.6, 0.7, 0.6 and 0.5 s in a fresh process (same machine).
 MAX_WORK = 150_000_000_000
 
-# signsum alone keeps terms times bits, linear in the bits, as its terms are often a few bits
-# wide and cost the interpreter's overhead, not a multiplication's.  Priced as a count,
-# terms * bits**1.585 against MAX_WORK, a direct-mode pair of 26 distinct powers of two at
-# power 0, a 27-bit term, would cost about 186 units, so their 2**26 pairs would be admitted
-# at 1.25e10, and they take 4.3 s; 28 of them would be admitted at 5.6e10.  The largest
-# queries admitted here, 20 ones in direct mode at power 104,926, 22 distinct powers of two
-# at power 0 and --coeffs 1 --mode multinomial at power 924, take about 0.5, 0.4 and 0.2 s
-# in a fresh process; 7 ones in direct mode at power 1,130,812, near the digit bound, 2.2 s
-# (same machine).
-MAX_KERNEL_BITS = 200_000_000
+# The least work of a big-int term per multiplication that makes it: a term of a few bits
+# costs the interpreter's step, not its bits**1.585.  Without it a direct-mode pair of 26
+# distinct powers of two at power 0, a 27-bit term, would cost about 186 units, so their
+# 2**26 pairs, which take 4.3 s, would be admitted at 1.25e10.  It is set between two
+# measurements, not fitted: 2**22 such pairs at power 0, priced 4.2e10 with it, take
+# 0.25 s in process, where odd-complete n = 5,592, 1.5e11 in large terms, takes 0.3 s,
+# and the table odd-bipartite 1..250, 1.5e11 in mostly small ones, 3 s (same machine).
+# No count or table frontier moves with it.
+TERM_FLOOR = 10_000
 
 # From this many bits on, decimal arithmetic pays for its import: decimal_string's divide
 # and conquer beats str(int), which wins at 20,000 bits and loses from 40,000, and a total
@@ -152,37 +156,52 @@ def _times(size: int, factor: float) -> float:
         return math.inf
 
 
+def _work(terms: Sequence[tuple[int, float, int]], bits: float, digits: float) -> float:
+    """The work of computing a value from `terms` and rendering its `bits` bits and `digits` digits.
+
+    Each (count, bits, mults) of `terms` is count big-int terms of at most
+    that many bits, each made by mults multiplications.  A term costs
+    bits**1.585 (Karatsuba multiplication), and at least TERM_FLOOR per
+    multiplication.  The rendering costs four terms of the value's bits, and
+    its digits.  A work past the float range is inf.
+    """
+    try:
+        return (
+            sum(_times(count, max(TERM_FLOOR * mults, b**1.585)) for count, b, mults in terms)
+            + 4 * bits**1.585
+            + digits
+        )
+    except OverflowError:  # a term past the float range, far above the digit bound
+        return math.inf
+
+
 def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float | None, float]:
     """The digits of the family's total at `sizes`, None when 0 by parity, and the row's work.
 
     The total is the product of the family's powers k**p.  An odd count with
     an odd power is 0, as formulas returns it without any sum: its row costs
-    the one digit of "0".  Any other row costs terms * bits**1.585 (Karatsuba
-    multiplication) for each sum of an odd count, or for the one power of a
-    total; four such terms of the count's bits for its decimal rendering; and
-    its digits.  A sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits,
-    one per base: an upper bound, as binomial_power_sum raises only the odd
-    primes among its weights to the power and pushes the other weights by
-    shifts and short powers, and a pair that repeats, as K_{m,m}'s does, is
-    summed once.  A sum at p = 0 is left out, as formulas._bracket returns 1
-    without summing.  Sizes past the float range measure inf, unless a factor
-    of 0 (a star K_{1,n}) cancels them; so does a work past the float range.
+    the one digit of "0".  Any other row is priced by _work: each sum of an
+    odd count, or the one product of a total's powers, and the count's
+    decimal rendering.  A sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k)
+    bits, one per base, each one multiplication of a weight: an upper bound
+    on the bits, as binomial_power_sum raises only the odd primes among its
+    weights to the power and pushes the other weights by shifts and short
+    powers, and a pair that repeats, as K_{m,m}'s does, is summed once.  A
+    sum at p = 0 is left out, as formulas._bracket returns 1 without
+    summing.  Sizes past the float range measure inf, unless a factor of 0 (a
+    star K_{1,n}) cancels them.
     """
     powers = record.powers(*sizes)
     if record.odd and any(p % 2 for _, p in powers):
         return None, 1.0
     digits = sum(_times(p, math.log10(k)) for k, p in powers)
     bits = digits * math.log2(10)
-    priced = (
-        [((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k))) for k, p in powers if p]
+    terms = (
+        [((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k)), 1) for k, p in powers if p]
         if record.odd
-        else [(1, bits)]
+        else [(1, bits, 1)]
     )
-    try:
-        work = sum(_times(terms, b**1.585) for terms, b in priced) + 4 * bits**1.585 + digits
-    except OverflowError:  # a power past the float range, far above the digit bound
-        work = math.inf
-    return digits, work
+    return digits, _work(terms, bits, digits)
 
 
 def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:
@@ -219,22 +238,21 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> Non
 
 
 def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
-    """Reject a signsum query above MAX_DIGITS digits or MAX_KERNEL_BITS of work.
+    """Reject a signsum query above MAX_DIGITS digits or MAX_WORK, before any arithmetic.
 
     Every sign vector's form is at most s = sum |a_i| in size, so the sum is at
-    most 2**n * s**power, whose digits bound the output.  Work is terms times
-    bits: a direct term has at most power*log2(s) bits, one if s <= 1, and an
-    expansion term's binomial C(power, k) up to power bits.  Direct mode is
-    priced as it runs (signsum.pairing_bounds): one term of n bits, a count,
-    per layer value of its two half tallies, and one term of n more bits than
-    its form per pair of a left and a right value.  The expansion builds a
-    binomial table of t = (power/2 + 1)(power/2 + 2)/2 entries, then is
-    priced at t products per coefficient; an odd power returns 0 at once.
-    That price is an upper bound: signsum.even_multinomial_sum raises each
-    distinct |a_i|'s series to its multiplicity by repeated squaring, which
-    makes at most as many convolutions as one per coefficient, and skips
-    the zeros.
-    Counts past the float range price at inf, never an OverflowError.
+    most 2**n * s**power, whose digits bound the output.  Each mode that runs
+    is priced by _work, as a count is, with the rendering of its value: "0"
+    for an odd power, which mirrored sign vectors cancel.  A form to the
+    power has at most power*log2(s) bits, one if s <= 1.  Direct mode is
+    priced as it runs (signsum.pairing_bounds): one count of n bits per layer
+    value of its two half tallies, and per pair of a left and a right value
+    one power, times a count, of n more bits than its form.  The expansion
+    returns 0 at once for an odd power; for an even one it builds a binomial
+    table of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits,
+    then makes signsum.product_count(coeffs) convolutions of t terms, each
+    two products of at most a form's bits.  Counts past the float range price
+    at inf, never an OverflowError.
     """
     if power < 0:
         return  # the power sums reject it themselves
@@ -245,18 +263,23 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
             f"a sum of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
     form_bits = 1 + _times(power, math.log2(max(total, 1)))
-    binomial_bits = 1 + _times(power, math.log2(max(total, 2)))
+    if power % 2:  # the value is 0, as mirrored sign vectors cancel: one digit to render
+        bits, digits = 0.0, 1.0
+    else:
+        bits = digits * math.log2(10)
     work = 0.0
     if mode != "multinomial":
         layers, pairs = signsum.pairing_bounds(coeffs)
-        work += _times(layers, float(n)) + _times(pairs, n + form_bits)
-    if mode != "direct" and power % 2 == 0:
+        terms = [(layers, n, 1), (pairs, n + form_bits, power.bit_length() + 1)]
+        work += _work(terms, bits, digits)
+    if mode != "direct":
         half = power // 2
-        work += _times((n + 1) * (half + 1) * (half + 2) // 2, binomial_bits)
-    if work > MAX_KERNEL_BITS:
+        table = 0 if power % 2 else (half + 1) * (half + 2) // 2
+        products = table * signsum.product_count(coeffs)
+        work += _work([(table, 1 + _times(power, 1.0), 1), (products, form_bits, 2)], bits, digits)
+    if work > MAX_WORK:
         raise SizeLimitError(
-            f"a sign sum adding about {work:.3g} bits of terms is above"
-            f" the bound of {MAX_KERNEL_BITS:,}"
+            f"a query costing about {work:.3g} units of work is above the bound of {MAX_WORK:,}"
         )
 
 

@@ -22,7 +22,7 @@ All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
 so every identity check is bit-exact.  None of the three bounds its own
 size: the CLI prices each query before running it, hypercube_power_sum's
-through pairing_bounds.
+through pairing_bounds and multinomial_power_sum's through product_count.
 
 even_multinomial_sum also gives formulas the composition-sum form of the
 odd spanning-tree counts.  It sums over the even compositions without
@@ -43,8 +43,9 @@ def _form_tally(coeffs: CoefficientVector) -> dict[int, int]:
     """Map each value of a1*y1 + ... + ak*yk to the number of sign vectors y giving it.
 
     Built by layers over the coefficients: each coefficient a moves every
-    value v to v + a and to v - a, and equal values merge, so k
-    coefficients with s = sum |ai| give at most min(2**k, 2*s + 1) values.
+    value v to v + a and to v - a, and equal values merge.  Every value of
+    k coefficients with s = sum |ai| lies in -s..s and has the parity of s,
+    so they give at most min(2**k, s + 1) values.
     """
     layer = {0: 1}
     for a in coeffs:
@@ -63,8 +64,8 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     vectors by the value of its partial form (_form_tally).  A left value
     u with count c and a right value v with count d stand for c*d whole
     sign vectors of form u + v, so the sum has one term per pair: at most
-    min(2**n, (2*sL + 1) * (2*sR + 1)) of them, sL and sR the sums of |ai|
-    over the halves.  That is never more than the 2**n vectors, and the
+    min(2**n, (sL + 1) * (sR + 1)) of them, sL and sR the sums of |ai| over
+    the halves.  That is never more than the 2**n vectors, and the
     tallies hold at most 2**(n//2) + 2**(n - n//2) values even when every
     vector has a form of its own.  No binomial or multinomial is used, so
     this stays an independent check of the other two strategies.  It has no
@@ -87,9 +88,10 @@ def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int]:
 
     Its two halves, split as it splits them, are tallied by layers
     (_form_tally): the layer after k coefficients of a half, with s their
-    sum of |ai|, holds at most min(2**k, 2*s + 1) values.  The first bound
-    sums that over both halves' layers, the second multiplies the two
-    halves' last ones, as every left value is paired with every right one.
+    sum of |ai|, holds at most min(2**k, s + 1) values, as each has the
+    parity of s.  The first bound sums that over both halves' layers, the
+    second multiplies the two halves' last ones, as every left value is
+    paired with every right one.
     2**k is only built while it is the smaller, so a list of thousands of
     coefficients is bounded in as many small steps.
     """
@@ -99,7 +101,7 @@ def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int]:
         values, s = 1, 0
         for k, a in enumerate(half, 1):
             s += abs(a)
-            values = 1 << k if k < (2 * s + 1).bit_length() else 2 * s + 1
+            values = 1 << k if k < (s + 1).bit_length() else s + 1
             layers += values
         pairs *= values
     return layers, pairs
@@ -128,6 +130,7 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     product costs about power**2/8 terms, and a square of multiplicity m
     takes at most 2 * log2(m) products, never more than m: n equal
     weights, as in the odd counts, take about 2 * log2(n), not n.
+    product_count counts them.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
@@ -147,14 +150,8 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
             sum(row[i] * a[i] * b[j - i] for i in range(j + 1)) for j, row in enumerate(choose)
         ]
 
-    multiplicity: dict[int, int] = {}
-    for w in weights:
-        square = w * w
-        multiplicity[square] = multiplicity.get(square, 0) + 1
     series: list[int] | None = None  # the product so far; None stands for the series 1
-    for square, times in multiplicity.items():
-        if not square:
-            continue
+    for square, times in _squares(weights).items():
         factor = [square**i for i in range(half + 1)]  # raised to 1, 2, 4, ... as times halves
         while True:
             if times & 1:
@@ -166,6 +163,28 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     if series is None:
         return 0 if half else 1
     return series[half]
+
+
+def _squares(weights: CoefficientVector) -> dict[int, int]:
+    """Map each nonzero square w*w of the weights to its multiplicity."""
+    multiplicity: dict[int, int] = {}
+    for w in weights:
+        if w:
+            multiplicity[w * w] = multiplicity.get(w * w, 0) + 1
+    return multiplicity
+
+
+def product_count(weights: CoefficientVector) -> int:
+    """The number of series products even_multinomial_sum(weights, power) makes at an even power.
+
+    A nonzero square of multiplicity m takes bit_length(m) - 1 squarings of
+    its factor and popcount(m) factors into the running product, and the
+    first factor taken of all replaces the series 1 without a product: 30
+    equal weights take 4 squarings and 4 - 1 products, 7 in all, not 30.
+    Each product is one convolution of about power**2/8 terms.
+    """
+    taken = sum(m.bit_length() - 1 + m.bit_count() for m in _squares(weights).values())
+    return max(taken - 1, 0)
 
 
 def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:

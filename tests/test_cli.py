@@ -14,7 +14,6 @@ from treecount.cli import (
     DECIMAL_SPLIT_BITS,
     MAX_DIGITS,
     decimal_string,
-    MAX_KERNEL_BITS,
     MAX_WORK,
     _check_bounds,
     _check_signsum_bounds,
@@ -343,7 +342,7 @@ class TestPastTheFloatRange:
             # 2 * 1**power has one digit, so the work bound refuses these: the expansion's
             # binomials are power bits wide
             *(
-                (f"signsum --coeffs 1 --power 10**400{mode}", "bits of terms")
+                (f"signsum --coeffs 1 --power 10**400{mode}", "units of work")
                 for mode in ("", " --mode multinomial")
             ),
         ],
@@ -351,7 +350,7 @@ class TestPastTheFloatRange:
     def test_query_exits_two_with_its_bounds_message(self, capsys, query, bound):
         code, out, err = run_cli(capsys, *(HUGE.get(word, word) for word in query.split()))
         assert_usage_error(code, out, err)
-        limit = MAX_DIGITS if bound == "digits" else MAX_KERNEL_BITS
+        limit = MAX_DIGITS if bound == "digits" else MAX_WORK
         assert err.endswith(f"{bound} is above the bound of {limit:,}\n")
 
     @pytest.mark.parametrize(
@@ -817,11 +816,23 @@ class TestSignsum:
         "argv, message",
         [
             (["--coeffs", "9", "--power", "3000000", "--mode", "direct"], "digits"),
-            (["--coeffs", "1", "--power", "100000", "--mode", "multinomial"], "bits of terms"),
+            (["--coeffs", "1", "--power", "100000", "--mode", "multinomial"], "units of work"),
             (["--coeffs", "1,2", "--power", "3000000"], "digits"),
-            # all 2**23 forms are distinct, so the sum pairs 2**11 values with 2**12
-            (["--coeffs", ",".join(str(2**i) for i in range(23)), "--power", "0", "--mode",
-              "direct"], "bits of terms"),
+            # all 2**24 forms are distinct, so the sum pairs 2**12 values with 2**12
+            (["--coeffs", ",".join(str(2**i) for i in range(24)), "--power", "0", "--mode",
+              "direct"], "units of work"),
+            # 2**26 pairs of distinct forms, about 4 s, each charged the floor of one step
+            (["--coeffs", ",".join(str(2**i) for i in range(26)), "--power", "0", "--mode",
+              "direct"], "units of work"),
+            # 2**22 pairs, about 2.4 s, each a form of about 700 bits raised to the power 32
+            (["--coeffs", ",".join(str(2**i) for i in range(22)), "--power", "32", "--mode",
+              "direct"], "units of work"),
+            # 32 and 64 pairs of forms of about 3.1M bits, which took 7.7 and 8.8 s when
+            # priced linearly in their bits
+            (["--coeffs", "1,2,4,8,16", "--power", "670526", "--mode", "direct"],
+             "units of work"),
+            (["--coeffs", "1,2,4,8,16,32", "--power", "522810", "--mode", "direct"],
+             "units of work"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )
@@ -831,18 +842,19 @@ class TestSignsum:
             capture_output=True, text=True, timeout=10,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        bound = MAX_DIGITS if message == "digits" else MAX_KERNEL_BITS
+        bound = MAX_DIGITS if message == "digits" else MAX_WORK
         assert proc.stderr.endswith(f"{message} is above the bound of {bound:,}\n")
 
     @pytest.mark.parametrize(
         "coeffs, mode, largest",
         [
-            ([1], "multinomial", 924),  # about 0.2 s (2-core Xeon, Python 3.11)
-            ([1, 2], "both", 692),
-            ([1] * 30, "multinomial", 216),
-            ([1] * 20, "direct", 104_926),  # 21 * 21 priced pairs, about 0.5 s
+            # fresh-process times, 2-core Xeon, Python 3.11
+            ([1], "multinomial", 2338),  # the binomial table alone, about 0.6 s
+            ([1, 2], "both", 1708),  # both modes' work and renderings, about 0.9 s
+            ([1] * 30, "multinomial", 668),  # 7 convolutions, about 0.5 s
+            ([1] * 20, "direct", 123_734),  # 11 * 11 pairs, about 0.6 s
             ([9], "direct", 1_047_950),  # the digit bound: 9**power has a million digits
-            ([2**i for i in range(22)], "direct", 0),  # 2**22 pairs of distinct forms, 0.4 s
+            ([2**i for i in range(22)], "direct", 2),  # 2**22 pairs of distinct forms, 0.7 s
         ],
     )
     def test_bound_falls_between_two_even_powers(self, coeffs, mode, largest):
@@ -850,10 +862,32 @@ class TestSignsum:
         with pytest.raises(ValueError, match="above the bound"):
             _check_signsum_bounds(coeffs, largest + 2, mode)
 
+    @pytest.mark.parametrize(
+        "coeffs, mode, power, longest",
+        [
+            # n layers of one value each, a count of up to n bits: about 0.02 s in process
+            ("zeros", "direct", 0, 21_057),
+            # n - 1 convolutions of 21 terms, each two products at the floor: about 3.2 s
+            ("1..n", "multinomial", 10, 351_263),
+        ],
+    )
+    def test_bound_falls_between_two_lengths(self, coeffs, mode, power, longest):
+        make = {"zeros": lambda n: [0] * n, "1..n": lambda n: list(range(1, n + 1))}[coeffs]
+        _check_signsum_bounds(make(longest), power, mode)
+        with pytest.raises(ValueError, match="units of work"):
+            _check_signsum_bounds(make(longest + 1), power, mode)
+
     def test_an_odd_power_costs_the_expansion_nothing(self, capsys):
         assert run_cli(
             capsys, "signsum", "--coeffs", "1", "--power", "100001", "--mode", "multinomial"
         ) == (0, "0\n", "")
+
+    def test_an_odd_power_renders_one_digit(self):
+        # the value 0 costs no rendering: both modes pass at the digit bound's odd power,
+        # where two renderings of a million digits would cost about 1.7e11
+        _check_signsum_bounds([9], 1_047_949, "both")
+        with pytest.raises(ValueError, match="units of work"):
+            _check_signsum_bounds([9], 1_047_950, "both")
 
     def test_forty_ones_match_in_both_modes(self, capsys):
         # 2**40 sign vectors, but each half's tally keeps 21 form values

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from treecount.signsum import (
     hypercube_power_sum,
     multinomial_power_sum,
     pairing_bounds,
+    product_count,
 )
 
 
@@ -143,8 +145,9 @@ class TestPairingBounds:
         assert self.check([2**i for i in range(n)]) == (layers, 2**n)
 
     def test_ones(self):
-        # a half of k ones has the k + 1 values -k, -k+2, ..., k; the bound counts 2k + 1
-        assert pairing_bounds([1] * 40) == (2 * (2 + 4 + 7 + sum(range(9, 42, 2))), 41 * 41)
+        # a half of k ones has the k + 1 values -k, -k+2, ..., k, all of k's parity: the
+        # bound meets them
+        assert self.check([1] * 40) == (2 * sum(range(2, 22)), 21 * 21)
 
 
 class TestMultinomialPowerSum:
@@ -238,6 +241,28 @@ class TestEvenMultinomialSum:
                 assert even_multinomial_sum(weights, 8) == per_weight_even_multinomial_sum(
                     weights, 8
                 ), weights
+
+    def test_thirty_equal_weights_take_seven_products(self):
+        # 30 = 0b11110: four squarings, and four factors taken, the first without a product
+        assert product_count([1] * 30) == 7
+        assert product_count([3, -3, 0, 0]) == 1  # one square of multiplicity 2, no zero
+        assert product_count([0, 0]) == product_count([5]) == product_count([]) == 0
+
+    @given(st.lists(st.integers(-4, 4), max_size=40))
+    def test_product_count_counts_the_products_made(self, weights):
+        # the products even_multinomial_sum makes, counted as calls of its local product
+        made = 0
+
+        def profile(frame, event, arg):
+            nonlocal made
+            made += event == "call" and frame.f_code.co_name == "product"
+
+        sys.setprofile(profile)
+        try:
+            even_multinomial_sum(weights, 2)
+        finally:
+            sys.setprofile(None)
+        assert product_count(weights) == made
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
