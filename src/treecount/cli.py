@@ -20,13 +20,25 @@ sum the work of their rows, a count being a one-row table, against
 MAX_WORK; _row prices a row.  signsum is held to MAX_DIGITS on
 2**n * (sum |a_i|)**power, which bounds the sum, and to MAX_WORK on the
 work of the modes it runs.  _work is the one price of both: big-int terms
-at bits**1.585, at least TERM_FLOOR per multiplication, and the rendering
-of the value.  Both bounds are checked before any arithmetic; a query above
+at bits**1.585, steps by small ints at STEP_WORK per bit, either at least
+TERM_FLOOR per multiplication, and the rendering of the value.  Both bounds are checked before any arithmetic; a query above
 either is a usage error.
 count_text raises a large total straight in decimal arithmetic from its
 powers, so no binary int is converted; odd counts, degree counts and signsum
 values are still computed as ints and converted by decimal_string, in
 subquadratic time.  table prints rows as computed: `| head` stops it at once.
+
+An odd family's table reads its counts from signsum.cosh_power_columns, the
+cosh-power recurrence, when _by_recurrence prices that below the kernel sums
+of its rows, as for a table from 1 or 2 up.  A one-row table at a count
+frontier, whose recurrence would still start at k = 0 or 1, takes the
+kernel, as every count does.
+odd-complete 2..600 then takes 0.17 s, and the largest odd tables admitted,
+odd-complete 2..971 and odd-bipartite 1..250, 0.17 to 0.24 and 0.46 to 0.50
+s, against 0.29, 0.55 to 0.85 and 2.7 to 3.0 s by the kernel (fresh process,
+2-core Xeon, Python 3.11.7).
+An odd-bipartite table builds each column of its grid when a row first
+reads it, so `| head` stops it within its first row with an odd m.
 """
 
 from __future__ import annotations
@@ -56,9 +68,11 @@ MAX_DIGITS = 1_000_000
 # odd-bipartite m = n = 4,347, take about 0.9 and 0.8 s in a fresh process, and the rest
 # of odd-bipartite's frontier, odd m = 3..20,001, 0.4 to 1.6 s (2-core Xeon, Python
 # 3.11.7).  A million-digit total costs 1.08e11, so totals meet the digit bound first.
-# odd-complete 2..600 costs 4.8e10 and takes 0.1 to 0.25 s; the largest tables
-# admitted, odd-complete 2..971, odd-bipartite 1..250, bipartite 1..341 and complete
-# 1..3,690, take 0.8 to 1.3, 3.2, 4.0 to 4.2 and 3.8 s (2-core Xeon, Python 3.11.7).  The
+# The largest tables admitted are odd-complete 2..971, odd-bipartite 1..250, bipartite
+# 1..341 and complete 1..3,690.  The odd two, and odd-complete 2..600, which costs 4.8e10,
+# take 0.17, 0.46 and 0.17 s from the cosh-power recurrence, which _by_recurrence prices
+# below their kernel sums, and the other two 4.4 and 3.5 s, in a fresh process (2-core
+# Xeon, Python 3.11.7).  The
 # rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
 # measured at 3.5 to 13 terms of its count's bits for odd-complete n = 100..4,000 and at
 # 0.8 to 8.4 for complete n = 100..20,000 (same machine).  A total of DECIMAL_SPLIT_BITS
@@ -76,9 +90,21 @@ MAX_WORK = 150_000_000_000
 # 2**26 pairs, which take 4.3 s, would be admitted at 1.25e10.  It is set between two
 # measurements, not fitted: 2**22 such pairs at power 0, priced 4.2e10 with it, take
 # 0.25 s in process, where odd-complete n = 5,592, 1.5e11 in large terms, takes 0.3 s,
-# and the table odd-bipartite 1..250, 1.5e11 in mostly small ones, 3 s (same machine).
+# and the table odd-bipartite 1..250, 1.5e11 in mostly small ones, 3 s by the kernel (same
+# machine).
 # No count or table frontier moves with it.
 TERM_FLOOR = 10_000
+
+# The work per bit of a step that makes a big int by products or sums with small ints, as
+# an entry of signsum.cosh_power_columns is made: linear in the bits, where a product of two
+# big ints costs bits**1.585.  Measured, not set: the triangles of columns up to k = 1,200
+# and 2,000 took 59 to 64 units per bit of their entries' bounds, in the time the kernel of
+# odd-complete n = 3,000 and 5,592 took per unit of its price, 6 runs paired with it in one
+# process (2-core Xeon, Python 3.11.7).  The kernel of an odd side, whose odd primes reach
+# up to it and not to its half, takes about twice the time per unit, so against it the
+# grid of odd-bipartite measured 24 to 34: a bipartite table takes the recurrence later
+# than it could.
+STEP_WORK = 60
 
 # From this many bits on, decimal arithmetic pays for its import: decimal_string's divide
 # and conquer beats str(int), which wins at 20,000 bits and loses from 40,000, and a total
@@ -156,18 +182,26 @@ def _times(size: int, factor: float) -> float:
         return math.inf
 
 
-def _work(terms: Sequence[tuple[int, float, int]], bits: float, digits: float) -> float:
-    """The work of computing a value from `terms` and rendering its `bits` bits and `digits` digits.
+def _work(
+    terms: Sequence[tuple[int, float, int]],
+    bits: float,
+    digits: float,
+    steps: Sequence[tuple[int, float, int]] = (),
+) -> float:
+    """The work of computing a value from `terms` and `steps` and rendering its `bits` bits and `digits` digits.
 
     Each (count, bits, mults) of `terms` is count big-int terms of at most
-    that many bits, each made by mults multiplications.  A term costs
-    bits**1.585 (Karatsuba multiplication), and at least TERM_FLOOR per
-    multiplication.  The rendering costs four terms of the value's bits, and
-    its digits.  A work past the float range is inf.
+    that many bits, each made by mults multiplications, and of `steps` count
+    big ints of at most that many bits, each made by mults products or sums
+    with small ints.  A term costs bits**1.585 (Karatsuba multiplication), a
+    step STEP_WORK per bit, and each at least TERM_FLOOR per multiplication.
+    The rendering costs four terms of the value's bits, and its digits.  A
+    work past the float range is inf.
     """
     try:
         return (
             sum(_times(count, max(TERM_FLOOR * mults, b**1.585)) for count, b, mults in terms)
+            + sum(_times(count, max(TERM_FLOOR * mults, STEP_WORK * b)) for count, b, mults in steps)
             + 4 * bits**1.585
             + digits
         )
@@ -204,7 +238,7 @@ def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float | None, flo
     return digits, _work(terms, bits, digits)
 
 
-def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> None:
+def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> float:
     """Reject the counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
     The counts are those of every size tuple between the two, one row each, so
@@ -213,10 +247,11 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> Non
     digits of the total of the last row not 0 by parity, from logarithms
     alone, bound every count.  The work sums from the first row and stops at
     the first row that crosses the bound, so a huge table is rejected after a
-    few of its rows.
+    few of its rows.  Returns the work of the rows, 0 for sizes the formula
+    rejects.
     """
     if min(first) < 1:
-        return  # the formula rejects the size itself
+        return 0.0  # the formula rejects the size itself
     # Only the parity of each size decides a zero, so the rows made of each range's
     # last two sizes hold the last row not 0 by parity, if there is one.
     tail = product(*(range(b, max(a, b - 1) - 1, -1) for a, b in zip(first, last)))
@@ -235,6 +270,72 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> Non
                 f"a query costing about {work:.3g} units of work by its row {row}"
                 f" is above the bound of {MAX_WORK:,}"
             )
+    return work
+
+
+def _by_recurrence(record: verify.Family, stop: int, work: float) -> bool:
+    """Whether an odd family's table up to `stop` costs less from cosh_power_columns than `work`.
+
+    `work` is the price of the table's rows, their kernel sums and
+    renderings, as _check_bounds sums it.  The columns of
+    signsum.cosh_power_columns start at k = 0 or 1, whatever the table's
+    first row: K_n's rows read the triangle of the even k <= stop, whose
+    column k takes k/2 - 1 steps, and K_{m,n}'s the odd k <= stop at every
+    even p < stop, (stop - 1) // 2 steps a column.  A step makes an entry
+    c(k, p) of at most p*log2(k) bits by two products, so a column's steps
+    are priced at their mean bits, (steps + 1) * log2(k).  The renderings,
+    made on either path, are in `work` only: the choice errs toward the
+    recurrence by at most their price, four terms of a count's bits against
+    the (k + 1) // 2 of each of its sums.
+    The sum stops once it reaches `work`, so a table of zeros at huge sizes,
+    priced a digit a row, is never priced past a few columns.
+    """
+    if not record.odd:
+        return False
+    one_side = len(record.parameters) == 1
+    price = 0.0
+    for k in range(4 if one_side else 3, stop + 1, 2):
+        steps = k // 2 - 1 if one_side else (stop - 1) // 2
+        price += _work((), 0, 0, [(steps, (steps + 1) * math.log2(k), 2)])
+        if price >= work:
+            break
+    return price < work
+
+
+def _recurrence_counts(record: verify.Family, start: int, stop: int) -> Iterator[int]:
+    """An odd family's counts over its table's rows, in order, from signsum.cosh_power_columns.
+
+    K_n's count c(n, n - 2) is the last entry of column n of the triangle, 0
+    for an odd n, so its rows stream: each even n takes the next column, and
+    the one before it is dropped.  K_{m,n}'s count c(m, n - 1) * c(n, m - 1),
+    0 unless m and n are odd, reads the grid of the odd k <= stop at the even
+    p < stop.  A column is built when a row first reads it, so the first row
+    of an odd m builds the grid column by column as it goes, and from k =
+    start on it is kept from p = start - 1, the least power a row reads.
+    """
+    if len(record.parameters) == 1:
+        columns, k = signsum.cosh_power_columns(0), -2
+        for n in range(start, stop + 1):
+            if n % 2:
+                yield 0
+                continue
+            while k < n:
+                column, k = next(columns), k + 2
+            yield column[-1]
+        return
+    columns, grid, low = signsum.cosh_power_columns(1, stop - 1), {}, start // 2
+    k = -1
+
+    def bracket(side: int, power: int) -> int:
+        nonlocal k
+        while k < side:
+            column, k = next(columns), k + 2
+            if k >= start:
+                grid[k] = column[low:]
+        return grid[side][power // 2 - low]
+
+    for m, n in product(range(start, stop + 1), repeat=2):
+        yield bracket(m, n - 1) * bracket(n, m - 1) if m & n & 1 else 0
 
 
 def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
@@ -245,9 +346,10 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     is priced by _work, as a count is, with the rendering of its value: "0"
     for an odd power, which mirrored sign vectors cancel.  A form to the
     power has at most power*log2(s) bits, one if s <= 1.  Direct mode is
-    priced as it runs (signsum.pairing_bounds): one count of n bits per layer
-    value of its two half tallies, and per pair of a left and a right value
-    one power, times a count, of n more bits than its form.  The expansion
+    priced as it runs (signsum.pairing_bounds): per layer value of its two
+    half tallies one count of n bits, made by additions and so priced as a
+    step, linear in its bits, and per pair of a left and a right value one
+    power, times a count, of n more bits than its form.  The expansion
     returns 0 at once for an odd power; for an even one it builds a binomial
     table of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits,
     then makes signsum.product_count(coeffs) convolutions of t terms, each
@@ -270,8 +372,8 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     work = 0.0
     if mode != "multinomial":
         layers, pairs = signsum.pairing_bounds(coeffs)
-        terms = [(layers, n, 1), (pairs, n + form_bits, power.bit_length() + 1)]
-        work += _work(terms, bits, digits)
+        terms = [(pairs, n + form_bits, power.bit_length() + 1)]
+        work += _work(terms, bits, digits, [(layers, n, 1)])
     if mode != "direct":
         half = power // 2
         table = 0 if power % 2 else (half + 1) * (half + 2) // 2
@@ -437,11 +539,16 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
     if start < 1 or start > stop:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
     record = verify.FAMILIES[family]
-    _check_bounds(family, [start] * len(record.parameters), [stop] * len(record.parameters))
+    sides = len(record.parameters)
+    work = _check_bounds(family, [start] * sides, [stop] * sides)
+    span = range(start, stop + 1)
+    if _by_recurrence(record, stop, work):
+        counts = map(decimal_string, _recurrence_counts(record, start, stop))
+    else:
+        counts = (count_text(record, sizes) for sizes in product(span, repeat=sides))
     if fmt == "csv":
         yield ",".join((*record.parameters, "count"))
-    for sizes in product(range(start, stop + 1), repeat=len(record.parameters)):
-        count = count_text(record, sizes)
+    for sizes, count in zip(product(span, repeat=sides), counts):
         if fmt == "jsonl":
             yield json.dumps({**dict(zip(record.parameters, sizes)), "count": count}, sort_keys=True)
         else:

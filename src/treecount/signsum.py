@@ -24,6 +24,12 @@ so every identity check is bit-exact.  None of the three bounds its own
 size: the CLI prices each query before running it, hypercube_power_sum's
 through pairing_bounds and multinomial_power_sum's through product_count.
 
+cosh_power_columns gives the all-ones sums for many sizes at once: the
+brackets c(k, p) = binomial_power_sum(k, p) / 2**k = p! * [x**p] cosh(x)**k,
+column k from column k - 2 by the second derivative of cosh**k, each entry
+two products of a small int and a big one.  It must start at k = 0 or 1, so
+it pays only for a table of counts: the CLI chooses it by price.
+
 even_multinomial_sum also gives formulas the composition-sum form of the
 odd spanning-tree counts.  It sums over the even compositions without
 listing them, one cosh series per distinct |weight| raised to its
@@ -34,7 +40,7 @@ log2(n) per distinct |weight|, not with the number of compositions.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 CoefficientVector = Sequence[int]
 
@@ -278,3 +284,38 @@ def binomial_power_sum(n: int, power: int) -> int:
         v -= 1 + odd
     # the value 1 is the last base; an even n's sum carries the 2**power taken out of its bases
     return (weight[1 >> odd] + binomial) << (1 if odd else power + 1)
+
+
+def cosh_power_columns(first: int, power: int | None = None) -> Iterator[list[int]]:
+    """Yield the columns k = first, first + 2, ... of c(k, p) = p! * [x**p] cosh(x)**k, p even.
+
+    c(k, p) is binomial_power_sum(k, p) / 2**k, the bracket of the odd
+    counts: K_n's count is c(n, n - 2) and K_{m,n}'s c(m, n - 1) * c(n, m - 1).
+    The second derivative of cosh**k is k**2 * cosh**k - k(k-1) * cosh**(k-2),
+    so c(k, p + 2) = k**2 * c(k, p) - k(k-1) * c(k - 2, p) with c(k, 0) = 1:
+    column k is built from column k - 2, each entry by two products of a
+    small int and a big one, which are linear in its bits.  first is 0 or 1,
+    where cosh**0 = 1 and cosh**1 give c(0, p) = 0 and c(1, p) = 1 at every
+    even p > 0.
+
+    With a power, each column holds c(k, 0), c(k, 2), ... up to the even
+    p <= power.  Without one, column k stops at p = k - 2, so that K_k's
+    count c(k, k - 2) is its last entry: an entry at p reads column k - 2 only
+    up to p - 2, so the columns form a triangle, each one entry longer than
+    the one before, the first of them empty.
+    """
+    if first not in (0, 1):
+        raise ValueError(f"first must be 0 or 1, got {first}")
+    if power is not None and power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    column = [] if power is None else [1] + [first] * (power // 2)
+    k = first
+    while True:
+        yield column
+        k += 2
+        square, falling = k * k, k * (k - 1)
+        entry, extended = 1, [1]
+        for below in column if power is None else column[:-1]:
+            entry = square * entry - falling * below
+            extended.append(entry)
+        column = extended

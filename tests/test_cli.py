@@ -15,6 +15,7 @@ from treecount.cli import (
     MAX_DIGITS,
     decimal_string,
     MAX_WORK,
+    _by_recurrence,
     _check_bounds,
     _check_signsum_bounds,
     _row,
@@ -552,6 +553,84 @@ class TestTableBound:
             check_table("bipartite", 1, 100000)
 
 
+def takes_recurrence(family, start, stop):
+    """Whether table_lines reads the table from signsum.cosh_power_columns, priced as it prices it."""
+    record = verify.FAMILIES[family]
+    sides = len(record.parameters)
+    return _by_recurrence(record, stop, _check_bounds(family, [start] * sides, [stop] * sides))
+
+
+class TestTablePath:
+    """An odd table reads the cosh-power recurrence when it costs less than its rows' kernel sums."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "family, start, stop, recurrence",
+        [
+            ("odd-complete", 2, 120, True),
+            ("odd-complete", 57, 60, False),
+            ("odd-complete", 100, 100, False),
+            ("odd-bipartite", 1, 40, True),
+            ("odd-bipartite", 30, 41, True),
+            ("odd-bipartite", 57, 60, False),
+            ("odd-bipartite", 3, 3, True),
+            ("odd-bipartite", 5, 5, False),
+        ],
+    )
+    def test_prints_the_bytes_of_each_rows_count(self, family, start, stop, recurrence, fmt):
+        assert takes_recurrence(family, start, stop) == recurrence
+        record = verify.FAMILIES[family]
+        rows = list(product(range(start, stop + 1), repeat=len(record.parameters)))
+        counts = [count_text(record, sizes) for sizes in rows]
+        if fmt == "csv":
+            expected = [",".join((*record.parameters, "count"))]
+            expected += [",".join((*map(str, sizes), count)) for sizes, count in zip(rows, counts)]
+        else:
+            expected = [
+                json.dumps({**dict(zip(record.parameters, sizes)), "count": count}, sort_keys=True)
+                for sizes, count in zip(rows, counts)
+            ]
+        assert list(table_lines(family, start, stop, fmt)) == expected
+
+    @pytest.mark.parametrize(
+        "family, start, stop, recurrence",
+        [
+            # one-row tables at the count frontiers: the recurrence would start at k = 0 or 1
+            ("odd-complete", 5592, 5592, False),
+            ("odd-bipartite", 4347, 4347, False),
+            ("odd-complete", 2, 600, True),  # the huge-counts table
+            ("odd-bipartite", 1, 250, True),
+            ("complete", 1, 100, False),  # a total has no brackets
+        ],
+    )
+    def test_path_follows_the_price(self, family, start, stop, recurrence):
+        assert takes_recurrence(family, start, stop) == recurrence
+
+    @pytest.mark.parametrize("family, start, stop", [("odd-complete", 2, 120), ("odd-bipartite", 1, 40)])
+    def test_recurrence_makes_no_kernel_sum(self, monkeypatch, family, start, stop):
+        expected = list(table_lines(family, start, stop, "csv"))
+
+        def kernel(n, power):
+            raise AssertionError("binomial_power_sum called")
+
+        monkeypatch.setattr(formulas, "binomial_power_sum", kernel)
+        assert list(table_lines(family, start, stop, "csv")) == expected
+
+    def test_bipartite_grid_is_built_as_its_rows_read_it(self, monkeypatch):
+        built = []
+        columns = signsum.cosh_power_columns
+
+        def counted(first, power=None):
+            for column in columns(first, power):
+                built.append(len(column))
+                yield column
+
+        monkeypatch.setattr(signsum, "cosh_power_columns", counted)
+        lines = table_lines("odd-bipartite", 1, 250, "csv")
+        assert [next(lines) for _ in range(4)] == ["m,n,count", "1,1,1", "1,2,0", "1,3,1"]
+        assert built == [125, 125]  # columns 1 and 3, each at the 125 even powers below 250
+
+
 class TestInternalError:
     def test_inexact_division_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(formulas, "binomial_power_sum", lambda n, power: 1)
@@ -865,8 +944,9 @@ class TestSignsum:
     @pytest.mark.parametrize(
         "coeffs, mode, power, longest",
         [
-            # n layers of one value each, a count of up to n bits: about 0.02 s in process
-            ("zeros", "direct", 0, 21_057),
+            # n layers of one value each, a count of up to n bits made by additions, priced
+            # linearly in its bits: about 0.11 s in process, 0.26 to 0.38 s in a fresh one
+            ("zeros", "direct", 0, 49_976),
             # n - 1 convolutions of 21 terms, each two products at the floor: about 3.2 s
             ("1..n", "multinomial", 10, 351_263),
         ],

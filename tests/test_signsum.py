@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from treecount.signsum import (
     _form_tally,
     binomial_power_sum,
+    cosh_power_columns,
     even_multinomial_sum,
     hypercube_power_sum,
     multinomial_power_sum,
@@ -319,3 +320,36 @@ class TestBinomialPowerSum:
             binomial_power_sum(0, 2)
         with pytest.raises(ValueError):
             binomial_power_sum(3, -1)
+
+
+def bracket(k, p):
+    """Reference: c(k, p) = binomial_power_sum(k, p) / 2**k; cosh(x)**0 = 1 has c(0, p) = [p == 0]."""
+    if k == 0:
+        return int(p == 0)
+    return binomial_power_sum(k, p) // 2**k
+
+
+class TestCoshPowerColumns:
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_every_column_up_to_sixty(self, first):
+        columns = cosh_power_columns(first, 60)
+        for k in range(first, 61, 2):
+            assert next(columns) == [bracket(k, p) for p in range(0, 61, 2)], k
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_triangle_ends_at_the_complete_graph_count(self, first):
+        columns = cosh_power_columns(first)
+        for k in range(first, 61, 2):
+            assert next(columns) == [bracket(k, p) for p in range(0, k - 1, 2)], k
+
+    @pytest.mark.parametrize("power", [0, 1, 2, 7])
+    def test_short_columns(self, power):
+        columns = cosh_power_columns(1, power)
+        for k in range(1, 21, 2):
+            assert next(columns) == [bracket(k, p) for p in range(0, power + 1, 2)], k
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError, match="first must be 0 or 1"):
+            next(cosh_power_columns(2))
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            next(cosh_power_columns(1, -2))
