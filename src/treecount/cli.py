@@ -81,7 +81,7 @@ MAX_DIGITS = 1_000_000
 # the digit bound first.  The largest sign sums admitted, 20 ones in direct mode at power
 # 123,734, the 22 distinct powers of two 1..2**21 in direct mode at power 2, --coeffs 1
 # --mode multinomial at power 2,338 and 30 ones in multinomial mode at power 668, take
-# about 0.6, 0.7, 0.6 and 0.5 s in a fresh process (same machine).
+# about 0.35, 0.8, 0.7 and 0.6 s in a fresh process (same machine).
 MAX_WORK = 150_000_000_000
 
 # The least work of a big-int term per multiplication that makes it: a term of a few bits
@@ -349,7 +349,9 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     priced as it runs (signsum.pairing_bounds): per layer value of its two
     half tallies one count of n bits, made by additions and so priced as a
     step, linear in its bits, and per pair of a left and a right value one
-    power, times a count, of n more bits than its form.  The expansion
+    power, times a count, of n more bits than its form.  That is an upper
+    bound: at an even power hypercube_power_sum may tally the pairs by
+    |form| first, and pairs of equal |form| share one power.  The expansion
     returns 0 at once for an odd power; for an even one it builds a binomial
     table of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits,
     then makes signsum.product_count(coeffs) convolutions of t terms, each

@@ -19,7 +19,7 @@ sweep composition spaces without tripping on infeasible profiles.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import exact_div, multinomial
 from .signsum import binomial_power_sum, even_multinomial_sum
@@ -114,7 +114,7 @@ def odd_spanning_trees_complete(n: int) -> int:
     without building the sum or 2**n; this covers n = 1, whose lone vertex
     has even degree 0.
     """
-    return _odd_count(complete_powers(n))
+    return _odd_count(complete_powers(n), _bracket)
 
 
 def odd_spanning_trees_complete_by_sum(n: int) -> int:
@@ -143,18 +143,18 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     degree sums: the other side's power is odd, its sum is 0, and the
     product is returned as 0 without summing either bracket.
     """
-    return _odd_count(bipartite_powers(m, n))
+    return _odd_count(bipartite_powers(m, n), _bracket)
 
 
-def _odd_count(powers: list[tuple[int, int]]) -> int:
-    """prod k**p over `powers`, each power averaged over k signs: 0 if one is odd, as it cancels.
+def _odd_count(powers: list[tuple[int, int]], bracket: Callable[[int, int], int]) -> int:
+    """prod bracket(k, p) over `powers`, a form of k signs to the p averaged: 0 if a p is odd.
 
-    A pair that repeats, as K_{m,m}'s two do, is summed once and raised to
-    its multiplicity.
+    No bracket is made when a power is odd.  A pair that repeats, as
+    K_{m,m}'s two do, is summed once and raised to its multiplicity.
     """
     if any(p % 2 for _, p in powers):
         return 0
-    return math.prod(_bracket(k, p) ** powers.count((k, p)) for k, p in dict.fromkeys(powers))
+    return math.prod(bracket(k, p) ** powers.count((k, p)) for k, p in dict.fromkeys(powers))
 
 
 def _bracket(side: int, power: int) -> int:
@@ -176,9 +176,9 @@ def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> int:
 
     The double sum over even compositions of n-1 (side a excesses) and of
     m-1 (side b excesses) factorizes exactly into two one-sided sums, each
-    an even_multinomial_sum with unit weights; an odd n-1 or m-1 leaves its
-    index set empty, making the count 0.
+    an even_multinomial_sum with unit weights.  They are taken as the
+    binomial form takes its brackets (_odd_count): an odd n-1 or m-1 leaves
+    its index set empty, so the count is 0 and neither sum is made, and
+    K_{m,m}'s two sums are one, made once and squared.
     """
-    _check_size(m, "m")
-    _check_size(n, "n")
-    return even_multinomial_sum([1] * m, n - 1) * even_multinomial_sum([1] * n, m - 1)
+    return _odd_count(bipartite_powers(m, n), lambda k, p: even_multinomial_sum([1] * k, p))

@@ -6,7 +6,9 @@ Three evaluation strategies for the same family of quantities:
                            of their linear form: each half of the
                            coefficients tallied by layers with equal
                            values merged, then every left value paired
-                           with every right one,
+                           with every right one; at an even power the
+                           pairs are tallied by |form|, each raised once,
+                           while that tally is no larger than the halves',
 * multinomial_power_sum -- the expansion into even-exponent multinomial
                            terms (odd exponents cancel pairwise), summed
                            by even_multinomial_sum,
@@ -69,24 +71,37 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     Splits the coefficients into two halves and tallies each half's sign
     vectors by the value of its partial form (_form_tally).  A left value
     u with count c and a right value v with count d stand for c*d whole
-    sign vectors of form u + v, so the sum has one term per pair: at most
-    min(2**n, (sL + 1) * (sR + 1)) of them, sL and sR the sums of |ai| over
-    the halves.  That is never more than the 2**n vectors, and the
-    tallies hold at most 2**(n//2) + 2**(n - n//2) values even when every
-    vector has a form of its own.  No binomial or multinomial is used, so
-    this stays an independent check of the other two strategies.  It has no
-    size bound of its own: pairing_bounds bounds its layers and pairs.
+    sign vectors of form u + v: at most min(2**n, (sL + 1) * (sR + 1))
+    pairs, sL and sR the sums of |ai| over the halves.  That is never more
+    than the 2**n vectors, and the tallies hold at most 2**(n//2) +
+    2**(n - n//2) values even when every vector has a form of its own.
+
+    An odd power sums every pair's signed term, so the 0 that mirrored sign
+    vectors give is computed, not assumed.  At an even power (-x)**power =
+    x**power, so the pairs are tallied by |u + v| first and each distinct
+    |form| is raised once: at most min(pairs, s//2 + 1) powers, s = sL + sR,
+    as every form has the parity of s.  That tally is built only while its
+    bound is no larger than the two half tallies together; otherwise, as for
+    distinct powers of two, whose 2**n forms all differ, every pair is
+    summed as at an odd power.  No binomial or multinomial is used, so this
+    stays an independent check of the other two strategies.  It has no size
+    bound of its own: pairing_bounds bounds its layers and pairs.
     """
     n = len(coeffs)
     if n < 1:
         raise ValueError("hypercube_power_sum() needs at least one coefficient")
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
-    left, right = _form_tally(coeffs[: n // 2]), _form_tally(coeffs[n // 2 :]).items()
-    return sum(
-        left_count * sum(count * (left_value + value) ** power for value, count in right)
-        for left_value, left_count in left.items()
-    )
+    left, right = _form_tally(coeffs[: n // 2]).items(), _form_tally(coeffs[n // 2 :]).items()
+    forms = min(len(left) * len(right), sum(map(abs, coeffs)) // 2 + 1)  # bounds the |forms|
+    if power % 2 or forms > len(left) + len(right):
+        return sum(c * sum(d * (u + v) ** power for v, d in right) for u, c in left)
+    tally: dict[int, int] = {}
+    for u, c in left:
+        for v, d in right:
+            form = abs(u + v)
+            tally[form] = tally.get(form, 0) + c * d
+    return sum(count * form**power for form, count in tally.items())
 
 
 def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int]:

@@ -234,8 +234,9 @@ def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]
             lambda m=m, n=n: (
                 sum(
                     trees_with_degrees_bipartite(a, b)
-                    for a in positive_compositions(m + n - 1, m)
-                    for b in positive_compositions(m + n - 1, n)
+                    for a, b in product(
+                        positive_compositions(m + n - 1, m), positive_compositions(m + n - 1, n)
+                    )
                 ),
                 spanning_trees_bipartite(m, n),
             ),

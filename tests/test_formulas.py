@@ -251,6 +251,29 @@ class TestOddSpanningTreesBipartiteBySum:
                     m, n
                 ) == odd_spanning_trees_bipartite(m, n)
 
+    def test_sums_only_what_the_count_reads(self, monkeypatch):
+        # an even side makes the other side's power odd and the count 0, so neither one-sided
+        # sum is made; K_{m,m}'s two sums are one, made once and squared
+        calls = []
+        original = formulas.even_multinomial_sum
+
+        def recorded(weights, power):
+            calls.append((len(weights), power))
+            return original(weights, power)
+
+        monkeypatch.setattr(formulas, "even_multinomial_sum", recorded)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                calls.clear()
+                both = original([1] * m, n - 1) * original([1] * n, m - 1)
+                assert odd_spanning_trees_bipartite_by_sum(m, n) == both, (m, n)
+                if m % 2 == 0 or n % 2 == 0:
+                    assert calls == [], (m, n)
+                elif m == n:
+                    assert calls == [(m, m - 1)], (m, n)
+                else:
+                    assert calls == [(m, n - 1), (n, m - 1)], (m, n)
+
 
 class TestClosureSums:
     def test_degree_sum_recovers_total_complete(self):

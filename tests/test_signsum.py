@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -33,6 +34,16 @@ def naive_power_sum(coeffs, power):
         linear = sum(a * y for a, y in zip(coeffs, signs))
         total += linear ** power
     return total
+
+
+def paired_hypercube_power_sum(coeffs, power):
+    """Reference: every left value of the half tallies paired with every right one, at any power."""
+    n = len(coeffs)
+    left, right = _form_tally(coeffs[: n // 2]), _form_tally(coeffs[n // 2 :]).items()
+    return sum(
+        left_count * sum(count * (left_value + value) ** power for value, count in right)
+        for left_value, left_count in left.items()
+    )
 
 
 def per_weight_even_multinomial_sum(weights, power):
@@ -110,6 +121,52 @@ class TestHypercubePowerSum:
         # 2**40 sign vectors at n = 40, but each half's tally keeps 21 form values
         for n in range(1, 41):
             assert hypercube_power_sum([1] * n, n) == binomial_power_sum(n, n)
+
+    def test_equals_paired_reference(self):
+        # seeded vectors with repeats, zeros and negatives; an even power folds them by |form|
+        # wherever that tally's bound is no larger than the half tallies
+        rng = random.Random(25)
+        vectors = []
+        for n in range(1, 15):
+            vectors += [[rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(n)] for _ in range(3)]
+            vectors += [[0] * n, [1] * n, [-2] * n, [rng.randint(-9, 9) for _ in range(n)]]
+        for coeffs in vectors:
+            for power in range(0, 14):
+                assert hypercube_power_sum(coeffs, power) == paired_hypercube_power_sum(
+                    coeffs, power
+                ), (coeffs, power)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # (half tally sizes, the bound min(pairs, s//2 + 1) on the |forms|): folded while
+            # the bound is at most the sum of the two sizes
+            [1, 2, 4, 8, 16, 32, 64, 128],  # (16, 16, 128), 2**8 distinct forms: paired
+            [1, 2, 4, 8, 16, 32, 64, 127],  # (16, 16, 128), some forms equal: paired
+            [5, 7, 11, 13, 17, 19],  # (8, 8, 37): paired
+            [1, 1, 10],  # (2, 4, 7), one above the sizes: paired
+            [1, 1, 8],  # (2, 4, 6), equal to the sizes: folded
+            [5, 7, 1, 1, 1, 1],  # (8, 4, 9): folded
+            [1] * 9 + [2] * 9,  # (10, 10, 14): folded
+            [3],  # (1, 2, 2), the left half empty: folded
+            [10**400, 1],  # (2, 2, 4), the pairs bound the |forms|, s does not: folded
+        ],
+    )
+    @pytest.mark.parametrize("power", [0, 1, 2, 7, 30, 31])
+    def test_both_sides_of_the_fold_rule(self, coeffs, power):
+        assert hypercube_power_sum(coeffs, power) == paired_hypercube_power_sum(coeffs, power)
+
+    def test_distinct_forms_are_not_folded(self):
+        # 16 powers of two give 2**16 distinct forms, 2**15 distinct |forms|: a tally of them
+        # would take about 2.6 MB, where the two half tallies of 2**8 values take 40 kB
+        coeffs = [2**i for i in range(16)]
+        tracemalloc.start()
+        try:
+            assert hypercube_power_sum(coeffs, 2) == 2**16 * sum(a * a for a in coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
