@@ -28,17 +28,14 @@ powers, so no binary int is converted; odd counts, degree counts and signsum
 values are still computed as ints and converted by decimal_string, in
 subquadratic time.  table prints rows as computed: `| head` stops it at once.
 
-An odd family's table reads its counts from signsum.cosh_power_columns, the
-cosh-power recurrence, when _by_recurrence prices that below the kernel sums
-of its rows, as for a table from 1 or 2 up.  A one-row table at a count
-frontier, whose recurrence would still start at k = 0 or 1, takes the
-kernel, as every count does.
-odd-complete 2..600 then takes 0.17 s, and the largest odd tables admitted,
-odd-complete 2..971 and odd-bipartite 1..250, 0.17 to 0.24 and 0.46 to 0.50
-s, against 0.29, 0.55 to 0.85 and 2.7 to 3.0 s by the kernel (fresh process,
-2-core Xeon, Python 3.11.7).
-An odd-bipartite table builds each column of its grid when a row first
-reads it, so `| head` stops it within its first row with an odd m.
+A family whose record names its cosh-power columns, an odd one, reads its
+table from signsum.cosh_power_columns when _by_recurrence prices that below
+the kernel sums of its rows.  A one-row table at a count frontier, whose
+columns would still start at k = 0 or 1, takes the kernel, as every count
+does.  The largest odd tables admitted, odd-complete 2..971 and
+odd-bipartite 1..250, take 0.17 to 0.24 and 0.46 to 0.50 s (fresh process,
+2-core Xeon, Python 3.11.7).  A column is built when a row first reads it,
+so `| head` stops an odd-bipartite table within its first row with an odd m.
 """
 
 from __future__ import annotations
@@ -274,68 +271,56 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> flo
 
 
 def _by_recurrence(record: verify.Family, stop: int, work: float) -> bool:
-    """Whether an odd family's table up to `stop` costs less from cosh_power_columns than `work`.
+    """Whether a family's table up to `stop` costs less from cosh_power_columns than `work`.
 
     `work` is the price of the table's rows, their kernel sums and
-    renderings, as _check_bounds sums it.  The columns of
-    signsum.cosh_power_columns start at k = 0 or 1, whatever the table's
-    first row: K_n's rows read the triangle of the even k <= stop, whose
-    column k takes k/2 - 1 steps, and K_{m,n}'s the odd k <= stop at every
-    even p < stop, (stop - 1) // 2 steps a column.  A step makes an entry
-    c(k, p) of at most p*log2(k) bits by two products, so a column's steps
-    are priced at their mean bits, (steps + 1) * log2(k).  The renderings,
-    made on either path, are in `work` only: the choice errs toward the
-    recurrence by at most their price, four terms of a count's bits against
-    the (k + 1) // 2 of each of its sums.
-    The sum stops once it reaches `work`, so a table of zeros at huge sizes,
-    priced a digit a row, is never priced past a few columns.
+    renderings, as _check_bounds sums it; a family without columns, a total,
+    never takes the recurrence.  The table reads the columns k = first + 2,
+    first + 4, ... <= stop that record.columns names, whatever its first row:
+    k/2 - 1 steps each on the triangle, with no power, and power/2 on the
+    grid.  A step makes an entry c(k, p) of at most p*log2(k) bits by two
+    products, so a column's steps are priced at their mean bits, (steps + 1)
+    * log2(k), inf past the float range.  The renderings, made on either path,
+    are in `work` only: the choice errs toward the recurrence by at most their
+    price.  The sum stops once it reaches `work`, so a table of zeros at huge
+    sizes, priced a digit a row, is never priced past a few columns.
     """
-    if not record.odd:
+    if record.columns is None:
         return False
-    one_side = len(record.parameters) == 1
+    first, power, _ = record.columns(stop)
     price = 0.0
-    for k in range(4 if one_side else 3, stop + 1, 2):
-        steps = k // 2 - 1 if one_side else (stop - 1) // 2
-        price += _work((), 0, 0, [(steps, (steps + 1) * math.log2(k), 2)])
+    for k in range(first + 2, stop + 1, 2):
+        steps = (k if power is None else power + 2) // 2 - 1
+        price += _work((), 0, 0, [(steps, _times(steps + 1, math.log2(k)), 2)])
         if price >= work:
             break
     return price < work
 
 
 def _recurrence_counts(record: verify.Family, start: int, stop: int) -> Iterator[int]:
-    """An odd family's counts over its table's rows, in order, from signsum.cosh_power_columns.
+    """A family's counts over its table's rows, in order, from signsum.cosh_power_columns.
 
-    K_n's count c(n, n - 2) is the last entry of column n of the triangle, 0
-    for an odd n, so its rows stream: each even n takes the next column, and
-    the one before it is dropped.  K_{m,n}'s count c(m, n - 1) * c(n, m - 1),
-    0 unless m and n are odd, reads the grid of the odd k <= stop at the even
-    p < stop.  A column is built when a row first reads it, so the first row
-    of an odd m builds the grid column by column as it goes, and from k =
-    start on it is kept from p = start - 1, the least power a row reads.
+    The rows that record.columns(stop) names read each c(k, p) through
+    bracket, which builds a column when a row first reads it.  On the
+    triangle, with no power, each column replaces the one before it; on the
+    grid each column from k = start on is kept from p = start - 1, the least
+    power a row reads.
     """
-    if len(record.parameters) == 1:
-        columns, k = signsum.cosh_power_columns(0), -2
-        for n in range(start, stop + 1):
-            if n % 2:
-                yield 0
-                continue
-            while k < n:
-                column, k = next(columns), k + 2
-            yield column[-1]
-        return
-    columns, grid, low = signsum.cosh_power_columns(1, stop - 1), {}, start // 2
-    k = -1
+    first, power, rows = record.columns(stop)
+    columns, kept, k = signsum.cosh_power_columns(first, power), {}, first - 2
+    low = 0 if power is None else start // 2
 
-    def bracket(side: int, power: int) -> int:
+    def bracket(side: int, p: int) -> int:
         nonlocal k
         while k < side:
             column, k = next(columns), k + 2
+            if power is None:
+                kept.clear()
             if k >= start:
-                grid[k] = column[low:]
-        return grid[side][power // 2 - low]
+                kept[k] = column[low:] if low else column
+        return kept[side][p // 2 - low]
 
-    for m, n in product(range(start, stop + 1), repeat=2):
-        yield bracket(m, n - 1) * bracket(n, m - 1) if m & n & 1 else 0
+    return rows(bracket, range(start, stop + 1))
 
 
 def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:

@@ -313,11 +313,11 @@ def cosh_power_columns(first: int, power: int | None = None) -> Iterator[list[in
     where cosh**0 = 1 and cosh**1 give c(0, p) = 0 and c(1, p) = 1 at every
     even p > 0.
 
-    With a power, each column holds c(k, 0), c(k, 2), ... up to the even
-    p <= power.  Without one, column k stops at p = k - 2, so that K_k's
-    count c(k, k - 2) is its last entry: an entry at p reads column k - 2 only
-    up to p - 2, so the columns form a triangle, each one entry longer than
-    the one before, the first of them empty.
+    With a power, the grid, each column holds c(k, 0), c(k, 2), ... up to the
+    even p <= power.  Without one, the triangle, column k stops at K_k's count
+    c(k, k - 2): an entry at p reads column k - 2 only up to p - 2, so each
+    column is one entry longer than the one before, the first empty.  Each
+    odd family's record names the one its table reads (verify.Family.columns).
     """
     if first not in (0, 1):
         raise ValueError(f"first must be 0 or 1, got {first}")

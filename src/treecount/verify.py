@@ -107,7 +107,9 @@ class VerificationReport(namedtuple("VerificationReport", "cases")):
         return all(c.match for c in self.cases)
 
 
-class Family(namedtuple("Family", "parameters scope odd powers formula oracles")):
+class Family(
+    namedtuple("Family", "parameters scope odd powers formula oracles columns", defaults=(None,))
+):
     """A family of graphs, as count, table, oracle and verify read it.
 
     parameters are the side sizes, summing to the vertex count; scope is the
@@ -115,6 +117,10 @@ class Family(namedtuple("Family", "parameters scope odd powers formula oracles")
     only; powers(*sizes) gives the (side, power) pairs whose product of
     side**power is the total.  formula and oracles take the sizes as keywords,
     and look every function up when called: a patched attribute takes effect.
+    columns(stop), None for a total, names what the family's table up to stop
+    reads of the cosh-power recurrence: (first, power), the arguments of
+    signsum.cosh_power_columns, and rows(bracket, span), which yields the
+    table's counts in row order, reading each c(k, p) as bracket(k, p).
     """
 
     __slots__ = ()
@@ -174,6 +180,10 @@ FAMILIES = {
             "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
             "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
         },
+        # the triangle: column n ends at c(n, n - 2)
+        columns=lambda stop: (0, None, lambda bracket, span: (
+            0 if n % 2 else bracket(n, n - 2) for n in span
+        )),
     ),
     "odd-bipartite": Family(
         ("m", "n"), scope="bipartite", odd=True, powers=bipartite_powers,
@@ -182,6 +192,11 @@ FAMILIES = {
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n, all_odd),
             "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
         },
+        # the grid of odd k <= stop at the even p < stop
+        columns=lambda stop: (1, stop - 1, lambda bracket, span: (
+            bracket(m, n - 1) * bracket(n, m - 1) if m & n & 1 else 0
+            for m, n in product(span, repeat=2)
+        )),
     ),
 }
 

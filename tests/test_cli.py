@@ -19,6 +19,7 @@ from treecount.cli import (
     _check_bounds,
     _check_signsum_bounds,
     _row,
+    _work,
     count_text,
     main,
     table_lines,
@@ -367,6 +368,15 @@ class TestPastTheFloatRange:
         argv = [HUGE.get(word, word) for word in query.split()]
         assert run_cli(capsys, *argv) == (0, "1\n", "")
 
+    @pytest.mark.parametrize("size", [10**400, 2**1100], ids=["10**400", "2**1100"])
+    def test_one_row_table_of_a_zero_prints_it(self, capsys, size):
+        # the row is 0 by parity, admitted at one digit; its recurrence, whose columns are
+        # size/2 steps each, prices at inf, so the table takes the kernel and prints the 0
+        argv = ["table", "--family", "odd-bipartite", "--from", str(size), "--to", str(size)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"{size},{size},0"
+
     @pytest.mark.parametrize("power", ["10**400", "300000000"])
     def test_direct_sum_of_unit_forms_prints_two(self, capsys, power):
         # the empty left tally's one value 0 pairs with the forms 1 and -1 of --coeffs 1: two
@@ -560,6 +570,21 @@ def takes_recurrence(family, start, stop):
     return _by_recurrence(record, stop, _check_bounds(family, [start] * sides, [stop] * sides))
 
 
+def per_arity_recurrence_price(record, stop):
+    """The recurrence's full price of a table up to `stop`, worked out from the family's arity.
+
+    The reference for _by_recurrence, which reads the columns from the family's record:
+    K_n's triangle from column 4, k/2 - 1 steps a column, and K_{m,n}'s grid from column 3,
+    (stop - 1) // 2 steps a column.
+    """
+    one_side = len(record.parameters) == 1
+    price = 0.0
+    for k in range(4 if one_side else 3, stop + 1, 2):
+        steps = k // 2 - 1 if one_side else (stop - 1) // 2
+        price += _work((), 0, 0, [(steps, (steps + 1) * math.log2(k), 2)])
+    return price
+
+
 class TestTablePath:
     """An odd table reads the cosh-power recurrence when it costs less than its rows' kernel sums."""
 
@@ -605,6 +630,22 @@ class TestTablePath:
     )
     def test_path_follows_the_price(self, family, start, stop, recurrence):
         assert takes_recurrence(family, start, stop) == recurrence
+
+    @pytest.mark.parametrize("family", ["odd-complete", "odd-bipartite"])
+    def test_price_is_the_per_arity_price_to_the_last_bit(self, family):
+        # the recurrence is taken below its price and refused at it, so the two prices agree
+        # exactly when a work at the price is refused and the next float up is not
+        record = verify.FAMILIES[family]
+        for stop in (*range(1, 401), 971, 2000, 4347, 5592):
+            price = per_arity_recurrence_price(record, stop)
+            assert not _by_recurrence(record, stop, price), stop
+            assert _by_recurrence(record, stop, math.nextafter(price, math.inf)), stop
+
+    @pytest.mark.parametrize("family", ["complete", "bipartite"])
+    def test_total_names_no_columns(self, family):
+        record = verify.FAMILIES[family]
+        assert record.columns is None
+        assert not _by_recurrence(record, 100, math.inf)
 
     @pytest.mark.parametrize("family, start, stop", [("odd-complete", 2, 120), ("odd-bipartite", 1, 40)])
     def test_recurrence_makes_no_kernel_sum(self, monkeypatch, family, start, stop):
