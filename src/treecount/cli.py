@@ -19,10 +19,12 @@ count <family> and table print counts of at most MAX_DIGITS digits, and
 sum the work of their rows, a count being a one-row table, against
 MAX_WORK; _row prices a row.  signsum is held to MAX_DIGITS on
 2**n * (sum |a_i|)**power, which bounds the sum, and to MAX_WORK on the
-work of the modes it runs.  _work is the one price of both: big-int terms
-at bits**1.585, steps by small ints at STEP_WORK per bit, either at least
-TERM_FLOOR per multiplication, and the rendering of the value.  Both bounds are checked before any arithmetic; a query above
-either is a usage error.
+work of the modes it runs.  A value that is 0, an odd count with an odd
+power or a sign sum at an odd power, is the one digit "0" under both
+bounds.  _work is the one price of both: big-int terms at bits**1.585,
+steps by small ints at STEP_WORK per bit, either at least TERM_FLOOR per
+multiplication, and the rendering of the value.  Both bounds are checked
+before any arithmetic; a query above either is a usage error.
 count_text raises a large total straight in decimal arithmetic from its
 powers, so no binary int is converted; odd counts, degree counts and signsum
 values are still computed as ints and converted by decimal_string, in
@@ -78,7 +80,8 @@ MAX_DIGITS = 1_000_000
 # the digit bound first.  The largest sign sums admitted, 20 ones in direct mode at power
 # 123,734, the 22 distinct powers of two 1..2**21 in direct mode at power 2, --coeffs 1
 # --mode multinomial at power 2,338 and 30 ones in multinomial mode at power 668, take
-# about 0.35, 0.8, 0.7 and 0.6 s in a fresh process (same machine).
+# about 0.35, 0.8, 0.7 and 0.6 s, and --coeffs 9 in both modes at the odd power 2,291,859,
+# a 0 bounded by work alone, 2.0 to 2.3 s, in a fresh process (same machine).
 MAX_WORK = 150_000_000_000
 
 # The least work of a big-int term per multiplication that makes it: a term of a few bits
@@ -170,8 +173,8 @@ def count_text(record: verify.Family, sizes: Sequence[int]) -> str:
 
 
 def _times(size: int, factor: float) -> float:
-    """size * factor for an int of any length: 0 if factor is 0, inf past the float range."""
-    if not factor:
+    """size * factor for an int of any length: 0 if either is 0, not NaN; inf past the float range."""
+    if not size or not factor:
         return 0.0
     try:
         return size * factor
@@ -206,25 +209,26 @@ def _work(
         return math.inf
 
 
-def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float | None, float]:
-    """The digits of the family's total at `sizes`, None when 0 by parity, and the row's work.
+def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float, float]:
+    """The digits of the row's count at `sizes`, bounded by the family's total, and its work.
 
     The total is the product of the family's powers k**p.  An odd count with
-    an odd power is 0, as formulas returns it without any sum: its row costs
-    the one digit of "0".  Any other row is priced by _work: each sum of an
-    odd count, or the one product of a total's powers, and the count's
-    decimal rendering.  A sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k)
-    bits, one per base, each one multiplication of a weight: an upper bound
-    on the bits, as binomial_power_sum raises only the odd primes among its
-    weights to the power and pushes the other weights by shifts and short
-    powers, and a pair that repeats, as K_{m,m}'s does, is summed once.  A
-    sum at p = 0 is left out, as formulas._bracket returns 1 without
-    summing.  Sizes past the float range measure inf, unless a factor of 0 (a
-    star K_{1,n}) cancels them.
+    an odd power is 0, as formulas returns it without any sum: its row has
+    the one digit of "0" and costs its rendering alone.  Any other row has
+    its total's digits and is priced by _work: each sum of an odd count, or
+    the one product of a total's powers, and the count's decimal rendering.
+    A sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, one per base,
+    each one multiplication of a weight: an upper bound on the bits, as
+    binomial_power_sum raises only the odd primes among its weights to the
+    power and pushes the other weights by shifts and short powers, and a
+    pair that repeats, as K_{m,m}'s does, is summed once.  A sum at p = 0 is
+    left out, as formulas._bracket returns 1 without summing.  Sizes past the
+    float range measure inf, unless a factor of 0 (a star K_{1,n}) cancels
+    them.
     """
     powers = record.powers(*sizes)
     if record.odd and any(p % 2 for _, p in powers):
-        return None, 1.0
+        return 1.0, _work([], 0.0, 1.0)
     digits = sum(_times(p, math.log10(k)) for k, p in powers)
     bits = digits * math.log2(10)
     terms = (
@@ -239,22 +243,20 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> flo
     """Reject the counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
     The counts are those of every size tuple between the two, one row each, so
-    a single count is the one-row table first == last; _row prices each row.
-    Odd and degree-constrained counts never exceed the family's total, so the
-    digits of the total of the last row not 0 by parity, from logarithms
-    alone, bound every count.  The work sums from the first row and stops at
-    the first row that crosses the bound, so a huge table is rejected after a
-    few of its rows.  Returns the work of the rows, 0 for sizes the formula
-    rejects.
+    a single count is the one-row table first == last; _row prices each row,
+    and raises the formula's own ValueError for a size it rejects.  Odd and
+    degree-constrained counts never exceed the family's total, which grows
+    with every size, and a count 0 by parity, which the parity of each size
+    decides, has the one digit of "0": so the most digits that _row gives the
+    rows made of each range's last two sizes, from logarithms alone, bound
+    every count.  The work sums from the first row and stops at the first
+    row that crosses the bound, so a huge table is rejected after a few of
+    its rows.  Returns the work of the rows.
     """
-    if min(first) < 1:
-        return 0.0  # the formula rejects the size itself
-    # Only the parity of each size decides a zero, so the rows made of each range's
-    # last two sizes hold the last row not 0 by parity, if there is one.
     tail = product(*(range(b, max(a, b - 1) - 1, -1) for a, b in zip(first, last)))
     record = verify.FAMILIES[family]
-    digits = next((d for d, _ in (_row(record, sizes) for sizes in tail) if d is not None), None)
-    if digits is not None and digits > MAX_DIGITS:
+    digits = max(_row(record, sizes)[0] for sizes in tail)
+    if digits > MAX_DIGITS:
         raise SizeLimitError(
             f"a count of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
@@ -327,35 +329,33 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     """Reject a signsum query above MAX_DIGITS digits or MAX_WORK, before any arithmetic.
 
     Every sign vector's form is at most s = sum |a_i| in size, so the sum is at
-    most 2**n * s**power, whose digits bound the output.  Each mode that runs
-    is priced by _work, as a count is, with the rendering of its value: "0"
-    for an odd power, which mirrored sign vectors cancel.  A form to the
-    power has at most power*log2(s) bits, one if s <= 1.  Direct mode is
-    priced as it runs (signsum.pairing_bounds): per layer value of its two
-    half tallies one count of n bits, made by additions and so priced as a
-    step, linear in its bits, and per pair of a left and a right value one
-    power, times a count, of n more bits than its form.  That is an upper
-    bound: at an even power hypercube_power_sum may tally the pairs by
-    |form| first, and pairs of equal |form| share one power.  The expansion
-    returns 0 at once for an odd power; for an even one it builds a binomial
-    table of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits,
-    then makes signsum.product_count(coeffs) convolutions of t terms, each
-    two products of at most a form's bits.  Counts past the float range price
-    at inf, never an OverflowError.
+    most 2**n * s**power, whose digits bound the output.  At an odd power the
+    sum is 0, as mirrored sign vectors cancel: one digit and no bits, which
+    both bounds read, so only the work of the modes can refuse it.  Each mode
+    that runs is priced by _work, as a count is, with the rendering of its
+    value.  A form to the power has at most power*log2(s) bits, one if
+    s <= 1.  Direct mode is priced as it runs (signsum.pairing_bounds): per
+    layer value of its two half tallies one count of n bits, made by
+    additions and so priced as a step, linear in its bits, and per pair of a
+    left and a right value one power, times a count, of n more bits than its
+    form.  That is an upper bound: at an even power hypercube_power_sum may
+    tally the pairs by |form| first, and pairs of equal |form| share one
+    power.  The expansion returns 0 at once for an odd power; for an even
+    one it builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
+    entries of at most power bits, then makes signsum.product_count(coeffs)
+    convolutions of t terms, each two products of at most a form's bits.
+    Counts past the float range price at inf, not an OverflowError; no terms, 0.
     """
     if power < 0:
         return  # the power sums reject it themselves
     n, total = len(coeffs), sum(abs(a) for a in coeffs)
-    digits = n * math.log10(2) + _times(power, math.log10(max(total, 1)))
+    digits = 1.0 if power % 2 else n * math.log10(2) + _times(power, math.log10(max(total, 1)))
     if digits > MAX_DIGITS:
         raise SizeLimitError(
             f"a sum of about {digits:.3g} digits is above the bound of {MAX_DIGITS:,}"
         )
+    bits = 0.0 if power % 2 else digits * math.log2(10)
     form_bits = 1 + _times(power, math.log2(max(total, 1)))
-    if power % 2:  # the value is 0, as mirrored sign vectors cancel: one digit to render
-        bits, digits = 0.0, 1.0
-    else:
-        bits = digits * math.log2(10)
     work = 0.0
     if mode != "multinomial":
         layers, pairs = signsum.pairing_bounds(coeffs)

@@ -19,6 +19,7 @@ from treecount.cli import (
     _check_bounds,
     _check_signsum_bounds,
     _row,
+    _times,
     _work,
     count_text,
     main,
@@ -377,6 +378,21 @@ class TestPastTheFloatRange:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == f"{size},{size},0"
 
+    def test_zero_terms_cost_nothing(self):
+        # a count of 0 times an infinite size is 0, never NaN, which no bound would refuse
+        assert _times(0, math.inf) == 0.0
+        assert _times(10**400, 0.0) == 0.0
+        assert _times(10**400, 1.0) == math.inf
+
+    @pytest.mark.parametrize("mode", ["both", "direct"])
+    def test_odd_power_is_refused_by_the_direct_mode_it_runs(self, mode):
+        # the expansion's empty table at an odd power past the float range costs nothing, so
+        # both modes cost what direct mode alone does: 60,001 layers of one count each
+        coeffs = [1] + [0] * 60_000
+        with pytest.raises(ValueError, match="units of work"):
+            _check_signsum_bounds(coeffs, 10**400 + 1, mode)
+        _check_signsum_bounds(coeffs, 10**400 + 1, "multinomial")
+
     @pytest.mark.parametrize("power", ["10**400", "300000000"])
     def test_direct_sum_of_unit_forms_prints_two(self, capsys, power):
         # the empty left tally's one value 0 pairs with the forms 1 and -1 of --coeffs 1: two
@@ -422,7 +438,7 @@ class TestZeroByParity:
     )
     def test_zero_row_costs_exactly_one(self, family, sizes):
         # the one digit of "0": no sum, no rendering weight
-        assert _row(verify.FAMILIES[family], sizes) == (None, 1.0)
+        assert _row(verify.FAMILIES[family], sizes) == (1.0, 1.0)
 
 
 def check_table(family, start, stop):
@@ -1009,6 +1025,34 @@ class TestSignsum:
         _check_signsum_bounds([9], 1_047_949, "both")
         with pytest.raises(ValueError, match="units of work"):
             _check_signsum_bounds([9], 1_047_950, "both")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the expansion returns 0 at once: 2**2 * 2**power has about 3e6 digits
+            ["--coeffs", "1,1", "--power", "10000001", "--mode", "multinomial"],
+            # 9**power has just over a million digits, but the sum is 0: about 1 s
+            ["--coeffs", "9", "--power", "1047953", "--mode", "both"],
+        ],
+        ids=" ".join,
+    )
+    def test_odd_power_past_the_digit_bound_prints_zero(self, capsys, argv):
+        out = "0\n0\nmatch\n" if argv[-1] == "both" else "0\n"
+        assert run_cli(capsys, "signsum", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "coeffs, mode, largest",
+        [
+            # fresh-process times, 2-core Xeon, Python 3.11
+            ([9], "both", 2_291_859),  # two powers of 7.3M bits, about 2.0 to 2.3 s
+            ([1] * 20, "direct", 126_299),  # the work bound set it before the digits did
+        ],
+    )
+    def test_bound_falls_between_two_odd_powers(self, coeffs, mode, largest):
+        # the value 0 has one digit, so only the work of the modes bounds an odd power
+        _check_signsum_bounds(coeffs, largest, mode)
+        with pytest.raises(ValueError, match="units of work"):
+            _check_signsum_bounds(coeffs, largest + 2, mode)
 
     def test_forty_ones_match_in_both_modes(self, capsys):
         # 2**40 sign vectors, but each half's tally keeps 21 form values

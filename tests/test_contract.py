@@ -1,4 +1,4 @@
-"""The CLI's contract over seeded queries, and the price monotonicity its frontiers rely on.
+"""The CLI's contract over seeded queries, and the admission properties its frontiers rely on.
 
 Every query exits 0 or 2, never 3: an internal error is a bug, and a
 mismatch (1) cannot arise from correct formulas.  On 0, stdout holds what
@@ -6,6 +6,10 @@ the query documents: ints, a CSV or JSONL table, or a verify report.  On 2,
 stdout is empty.  The queries are drawn from build_parser()'s own
 subcommands, choices and options, not from a hand list, with the work bound
 lowered so that every admitted query stays short.
+
+A row's price never falls as one of its sizes grows by 2.  A sign sum in
+both modes is refused whenever either mode alone is, and a sum at an odd
+power, 0, is the one digit it prints, which the digit bound never refuses.
 """
 
 import argparse
@@ -19,7 +23,7 @@ from itertools import product
 import pytest
 
 from treecount import cli, verify
-from treecount.cli import _row, build_parser, main
+from treecount.cli import _check_signsum_bounds, _row, build_parser, main
 
 SEED = 20261019
 QUERIES = 1200
@@ -180,3 +184,59 @@ def test_price_never_falls_as_a_size_grows_by_two(family):
         for i in range(len(sizes)):
             grown = (*sizes[:i], sizes[i] + 2, *sizes[i + 1 :])
             assert price.get(grown, work) >= work, (sizes, grown)
+
+
+SIGNSUM_SEED = 28
+SIGNSUMS = 400
+# odd powers past the digit bound for most sums and past the float range, and some even ones
+SIGNSUM_POWERS = [0, 1, 2, 3, 7, 668, 2339, 123_735, 1_047_953, 2_291_861, 10_000_001,
+                  2**53 + 1, 10**400, 10**400 + 1, 2**1100 + 1]
+SIGNSUM_LENGTHS = [1, 1, 2, 3, 4, 5, 8, 20, 100, 1000]
+
+
+def draw_coeffs(rng):
+    """Coefficients in -3..3, or in 0 and +-1 with 0, 1, 2 or all of them nonzero.
+
+    One list in 20 has 60,001 coefficients in 0 and +-1, at most two of them
+    nonzero: past direct mode's frontier of zeros, with forms of one or two
+    bits at any power.
+    """
+    if rng.random() < 0.05:
+        n, nonzero = 60_001, rng.choice([0, 1, 2])
+    else:
+        n = rng.choice(SIGNSUM_LENGTHS)
+        if rng.random() < 0.5:
+            return rng.choices(range(-3, 4), k=n)
+        nonzero = min(n, rng.choice([0, 1, 2, n]))
+    coeffs = [0] * n
+    for i in rng.sample(range(n), nonzero):
+        coeffs[i] = rng.choice([-1, 1])
+    return coeffs
+
+
+def refusal(coeffs, power, mode):
+    """The message that refuses the sign sum, or None when it is admitted."""
+    try:
+        _check_signsum_bounds(coeffs, power, mode)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_sign_sum_admission_agrees_across_modes():
+    # both modes run each mode, so they are refused whenever either is; and an odd power's
+    # sum is 0, one digit, so no mode refuses it by the digit bound
+    rng = random.Random(SIGNSUM_SEED)
+    for _ in range(SIGNSUMS):
+        coeffs, power = draw_coeffs(rng), rng.choice(SIGNSUM_POWERS)
+        query = (
+            f"{len(coeffs)} coefficients, sum |a_i| = {sum(map(abs, coeffs))},"
+            f" first {coeffs[:8]}, power {power}"
+        )
+        refused = {mode: refusal(coeffs, power, mode) for mode in ("both", "direct", "multinomial")}
+        if refused["both"] is None:
+            assert refused["direct"] is refused["multinomial"] is None, (query, refused)
+        if power % 2:
+            assert not any("digits" in (message or "") for message in refused.values()), (
+                query, refused,
+            )

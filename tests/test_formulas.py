@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecount import formulas
-from treecount.cli import _row
+from treecount.cli import TERM_FLOOR, _row
 from treecount.combinatorics import positive_compositions
 from treecount.formulas import (
     odd_spanning_trees_bipartite,
@@ -339,7 +339,11 @@ class TestFamilyDispatch:
                 powers = record.powers(*sizes)
                 assert math.prod(k**p for k, p in powers) == totals[record.scope](*sizes)
                 value = record.formula(*sizes)
-                assert (value == 0) == (_row(record, sizes)[0] is None), (family, sizes)
+                # a zero is priced as the one digit it prints; any other row costs at
+                # least the floor of a term, or nothing when it makes no term at all
+                digits, work = _row(record, sizes)
+                assert (value == 0) == ((digits, work) == (1.0, 1.0)), (family, sizes)
+                assert value == 0 or work >= TERM_FLOOR or work == 0.0, (family, sizes)
                 if value and record.odd:
                     averaged = math.prod(binomial_power_sum(k, p) >> k for k, p in powers)
                     assert value == averaged, (family, sizes)
