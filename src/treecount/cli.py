@@ -80,8 +80,7 @@ MAX_DIGITS = 1_000_000
 # the digit bound first.  The largest sign sums admitted, 20 ones in direct mode at power
 # 123,734, the 22 distinct powers of two 1..2**21 in direct mode at power 2, --coeffs 1
 # --mode multinomial at power 2,338 and 30 ones in multinomial mode at power 668, take
-# about 0.35, 0.8, 0.7 and 0.6 s, and --coeffs 9 in both modes at the odd power 2,291,859,
-# a 0 bounded by work alone, 2.0 to 2.3 s, in a fresh process (same machine).
+# about 0.35, 0.8, 0.7 and 0.6 s in a fresh process (same machine).
 MAX_WORK = 150_000_000_000
 
 # The least work of a big-int term per multiplication that makes it: a term of a few bits
@@ -336,14 +335,16 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     value.  A form to the power has at most power*log2(s) bits, one if
     s <= 1.  Direct mode is priced as it runs (signsum.pairing_bounds): per
     layer value of its two half tallies one count of n bits, made by
-    additions and so priced as a step, linear in its bits, and per pair of a
-    left and a right value one power, times a count, of n more bits than its
-    form.  That is an upper bound: at an even power hypercube_power_sum may
-    tally the pairs by |form| first, and pairs of equal |form| share one
-    power.  The expansion returns 0 at once for an odd power; for an even
-    one it builds a binomial table of t = (power/2 + 1)(power/2 + 2)/2
-    entries of at most power bits, then makes signsum.product_count(coeffs)
-    convolutions of t terms, each two products of at most a form's bits.
+    additions and so priced as a step, linear in its bits.  An odd power
+    that pairing_bounds folds adds one such step per pair of a left and a
+    right value and raises no nonzero form, as the counts cancel: exact, as
+    the expansion's empty table is.  Otherwise each pair is one power,
+    times a count, of n more bits than its form: an upper bound at an even
+    power, where pairs of equal |form| may share one.  The expansion returns
+    0 at once for an odd power; for an even one it builds a binomial table
+    of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits, then
+    makes signsum.product_count(coeffs) convolutions of t terms, each two
+    products of at most a form's bits.
     Counts past the float range price at inf, not an OverflowError; no terms, 0.
     """
     if power < 0:
@@ -358,9 +359,12 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     form_bits = 1 + _times(power, math.log2(max(total, 1)))
     work = 0.0
     if mode != "multinomial":
-        layers, pairs = signsum.pairing_bounds(coeffs)
-        terms = [(pairs, n + form_bits, power.bit_length() + 1)]
-        work += _work(terms, bits, digits, [(layers, n, 1)])
+        layers, pairs, folds = signsum.pairing_bounds(coeffs)
+        if power % 2 and folds:
+            work += _work([], bits, digits, [(layers + pairs, n, 1)])
+        else:
+            terms = [(pairs, n + form_bits, power.bit_length() + 1)]
+            work += _work(terms, bits, digits, [(layers, n, 1)])
     if mode != "direct":
         half = power // 2
         table = 0 if power % 2 else (half + 1) * (half + 2) // 2

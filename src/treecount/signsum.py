@@ -6,9 +6,10 @@ Three evaluation strategies for the same family of quantities:
                            of their linear form: each half of the
                            coefficients tallied by layers with equal
                            values merged, then every left value paired
-                           with every right one; at an even power the
-                           pairs are tallied by |form|, each raised once,
-                           while that tally is no larger than the halves',
+                           with every right one, and the pairs tallied by
+                           |form| while that fits the halves' sizes or
+                           bounds, each raised once; at an odd power a
+                           negative form's count cancels its mirror's,
 * multinomial_power_sum -- the expansion into even-exponent multinomial
                            terms (odd exponents cancel pairwise), summed
                            by even_multinomial_sum,
@@ -76,16 +77,17 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     than the 2**n vectors, and the tallies hold at most 2**(n//2) +
     2**(n - n//2) values even when every vector has a form of its own.
 
-    An odd power sums every pair's signed term, so the 0 that mirrored sign
-    vectors give is computed, not assumed.  At an even power (-x)**power =
-    x**power, so the pairs are tallied by |u + v| first and each distinct
-    |form| is raised once: at most min(pairs, s//2 + 1) powers, s = sL + sR,
-    as every form has the parity of s.  That tally is built only while its
-    bound is no larger than the two half tallies together; otherwise, as for
-    distinct powers of two, whose 2**n forms all differ, every pair is
-    summed as at an odd power.  No binomial or multinomial is used, so this
-    stays an independent check of the other two strategies.  It has no size
-    bound of its own: pairing_bounds bounds its layers and pairs.
+    The pairs are tallied by |u + v|, each |form| raised once: at an even
+    power (-x)**power = x**power, and at an odd one a negative form
+    subtracts its count, so mirrored sign vectors cancel in the tally and
+    its 0 is computed, not assumed, with no cancelled |form| raised.  Every
+    form has the parity of s = sL + sR, so there are at most
+    min(pairs, s//2 + 1) |forms|.  The tally is built while that is no
+    larger than the two half tallies or their bounds (pairing_bounds), at
+    most 2**(n//2) + 2**(n - n//2) values; otherwise, as for distinct powers
+    of two, whose 2**n forms all differ, every pair's term is summed.  No
+    binomial or multinomial is used, so this stays an independent check of
+    the other two.  It has no size bound: pairing_bounds bounds its work.
     """
     n = len(coeffs)
     if n < 1:
@@ -94,9 +96,15 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
         raise ValueError(f"power must be >= 0, got {power}")
     left, right = _form_tally(coeffs[: n // 2]).items(), _form_tally(coeffs[n // 2 :]).items()
     forms = min(len(left) * len(right), sum(map(abs, coeffs)) // 2 + 1)  # bounds the |forms|
-    if power % 2 or forms > len(left) + len(right):
+    if forms > len(left) + len(right) and not pairing_bounds(coeffs)[2]:
         return sum(c * sum(d * (u + v) ** power for v, d in right) for u, c in left)
     tally: dict[int, int] = {}
+    if power % 2:  # (-x)**power = -x**power: a negative form subtracts its count
+        for u, c in left:
+            for v, d in right:
+                form = u + v
+                tally[abs(form)] = tally.get(abs(form), 0) + (c * d if form > 0 else -c * d)
+        return sum(count * form**power for form, count in tally.items() if count)
     for u, c in left:
         for v, d in right:
             form = abs(u + v)
@@ -104,20 +112,22 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     return sum(count * form**power for form, count in tally.items())
 
 
-def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int]:
-    """Bounds on the layer values and on the pairs that hypercube_power_sum makes.
+def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int, bool]:
+    """Bounds on the layers and pairs that hypercube_power_sum makes, and whether it folds them.
 
     Its two halves, split as it splits them, are tallied by layers
     (_form_tally): the layer after k coefficients of a half, with s their
     sum of |ai|, holds at most min(2**k, s + 1) values, as each has the
     parity of s.  The first bound sums that over both halves' layers, the
     second multiplies the two halves' last ones, as every left value is
-    paired with every right one.
-    2**k is only built while it is the smaller, so a list of thousands of
-    coefficients is bounded in as many small steps.
+    paired with every right one.  Those allow at most min(pairs, s//2 + 1)
+    |forms|, s now over all |ai|, and the sum folds its pairs by |form| when
+    that is no larger than the two last layers together.  2**k is only built
+    while it is the smaller, so a list of thousands of coefficients is
+    bounded in as many small steps.
     """
     n = len(coeffs)
-    layers, pairs = 0, 1
+    layers, pairs, last = 0, 1, 0
     for half in (coeffs[: n // 2], coeffs[n // 2 :]):
         values, s = 1, 0
         for k, a in enumerate(half, 1):
@@ -125,7 +135,8 @@ def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int]:
             values = 1 << k if k < (s + 1).bit_length() else s + 1
             layers += values
         pairs *= values
-    return layers, pairs
+        last += values
+    return layers, pairs, min(pairs, sum(map(abs, coeffs)) // 2 + 1) <= last
 
 
 def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:

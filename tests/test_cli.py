@@ -1006,10 +1006,17 @@ class TestSignsum:
             ("zeros", "direct", 0, 49_976),
             # n - 1 convolutions of 21 terms, each two products at the floor: about 3.2 s
             ("1..n", "multinomial", 10, 351_263),
+            # a folded odd power: 855 * 855 pairs and as many layer values, each one addition
+            # of up to n bits, and no power: about 1.7 s in process, 1,400 ones about 0.9 s
+            pytest.param("ones", "direct", 10**400 + 1, 1_708, id="ones-direct-10**400+1-1708"),
         ],
     )
     def test_bound_falls_between_two_lengths(self, coeffs, mode, power, longest):
-        make = {"zeros": lambda n: [0] * n, "1..n": lambda n: list(range(1, n + 1))}[coeffs]
+        make = {
+            "zeros": lambda n: [0] * n,
+            "1..n": lambda n: list(range(1, n + 1)),
+            "ones": lambda n: [1] * n,
+        }[coeffs]
         _check_signsum_bounds(make(longest), power, mode)
         with pytest.raises(ValueError, match="units of work"):
             _check_signsum_bounds(make(longest + 1), power, mode)
@@ -1043,9 +1050,8 @@ class TestSignsum:
     @pytest.mark.parametrize(
         "coeffs, mode, largest",
         [
-            # fresh-process times, 2-core Xeon, Python 3.11
-            ([9], "both", 2_291_859),  # two powers of 7.3M bits, about 2.0 to 2.3 s
-            ([1] * 20, "direct", 126_299),  # the work bound set it before the digits did
+            # 2**22 distinct forms are too many to tally, so each pair is priced as a power
+            ([2**i for i in range(22)], "direct", 3),
         ],
     )
     def test_bound_falls_between_two_odd_powers(self, coeffs, mode, largest):
@@ -1053,6 +1059,23 @@ class TestSignsum:
         _check_signsum_bounds(coeffs, largest, mode)
         with pytest.raises(ValueError, match="units of work"):
             _check_signsum_bounds(coeffs, largest + 2, mode)
+
+    @pytest.mark.parametrize(
+        "coeffs, mode",
+        [
+            ([9], "both"),
+            ([1] * 20, "direct"),
+            # the built halves of 4 values each would pair, but their bounds of 8 fold
+            ([4] * 6, "direct"),
+        ],
+    )
+    def test_a_folded_odd_power_prints_its_zero_past_the_float_range(self, capsys, coeffs, mode):
+        # each |form|'s count cancels in the tally, so no form is raised and the price has no
+        # power in it: the work bound admits the sum at any odd power
+        listed = ",".join(map(str, coeffs))
+        argv = ["--coeffs", listed, "--power", HUGE["10**400+1"], "--mode", mode]
+        out = "0\n0\nmatch\n" if mode == "both" else "0\n"
+        assert run_cli(capsys, "signsum", *argv) == (0, out, "")
 
     def test_forty_ones_match_in_both_modes(self, capsys):
         # 2**40 sign vectors, but each half's tally keeps 21 form values

@@ -10,6 +10,8 @@ lowered so that every admitted query stays short.
 A row's price never falls as one of its sizes grows by 2.  A sign sum in
 both modes is refused whenever either mode alone is, and a sum at an odd
 power, 0, is the one digit it prints, which the digit bound never refuses.
+A direct sum that folds an odd power raises no form, so its price does not
+depend on the power.
 """
 
 import argparse
@@ -22,7 +24,7 @@ from itertools import product
 
 import pytest
 
-from treecount import cli, verify
+from treecount import cli, signsum, verify
 from treecount.cli import _check_signsum_bounds, _row, build_parser, main
 
 SEED = 20261019
@@ -240,3 +242,22 @@ def test_sign_sum_admission_agrees_across_modes():
             assert not any("digits" in (message or "") for message in refused.values()), (
                 query, refused,
             )
+
+
+def test_a_folded_odd_power_is_admitted_alike_at_every_odd_power():
+    # the counts of each |form| cancel, so direct mode builds its tallies and raises nothing:
+    # power 1 and a power past the float range cost the same
+    rng = random.Random(SIGNSUM_SEED)
+    folded = admitted = 0
+    for _ in range(SIGNSUMS):
+        coeffs = draw_coeffs(rng)
+        # the lists of 60,001, refused at every power by their layers alone, take 15 ms each
+        if len(coeffs) > 1000 or not signsum.pairing_bounds(coeffs)[2]:
+            continue
+        query = f"{len(coeffs)} coefficients, sum |a_i| = {sum(map(abs, coeffs))}, {coeffs[:8]}"
+        at_one = refusal(coeffs, 1, "direct")
+        assert refusal(coeffs, 10**400 + 1, "direct") == at_one, query
+        folded += 1
+        admitted += at_one is None
+    # the draw must fold and admit sums, or it shows nothing
+    assert admitted >= folded // 2 >= SIGNSUMS // 4

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecount import signsum
 from treecount.signsum import (
     _form_tally,
     binomial_power_sum,
@@ -39,7 +40,8 @@ def naive_power_sum(coeffs, power):
 def paired_hypercube_power_sum(coeffs, power):
     """Reference: every left value of the half tallies paired with every right one, at any power."""
     n = len(coeffs)
-    left, right = _form_tally(coeffs[: n // 2]), _form_tally(coeffs[n // 2 :]).items()
+    tally = signsum._form_tally  # read at each call, so that a patched tally is read
+    left, right = tally(coeffs[: n // 2]), tally(coeffs[n // 2 :]).items()
     return sum(
         left_count * sum(count * (left_value + value) ** power for value, count in right)
         for left_value, left_count in left.items()
@@ -150,6 +152,7 @@ class TestHypercubePowerSum:
             [1] * 9 + [2] * 9,  # (10, 10, 14): folded
             [3],  # (1, 2, 2), the left half empty: folded
             [10**400, 1],  # (2, 2, 4), the pairs bound the |forms|, s does not: folded
+            [4] * 6,  # (4, 4, 13): folded by the halves' bounds, not by their built sizes
         ],
     )
     @pytest.mark.parametrize("power", [0, 1, 2, 7, 30, 31])
@@ -168,6 +171,34 @@ class TestHypercubePowerSum:
             tracemalloc.stop()
         assert peak < 500_000
 
+    def test_an_odd_power_raises_no_cancelled_form(self):
+        # the forms 9 and -9 cancel in the tally, so 9**2291859, about 0.9 MB, is never made
+        tracemalloc.start()
+        try:
+            assert hypercube_power_sum([9], 2_291_859) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+
+    def test_an_odd_power_is_computed_not_assumed(self, monkeypatch):
+        # with a half tally skewed off its mirror symmetry the counts no longer cancel: the
+        # folded sum raises what is left, as the pairing does, and does not return 0 for its
+        # parity
+        tally = signsum._form_tally
+
+        def skewed(half):
+            counts = tally(half)
+            if half:
+                counts[max(counts)] += 1
+            return counts
+
+        monkeypatch.setattr(signsum, "_form_tally", skewed)
+        for coeffs in ([3], [1, 2, 3, 4], [4] * 6, [1] * 9):
+            for power in (1, 3, 5):
+                value = hypercube_power_sum(coeffs, power)
+                assert value == paired_hypercube_power_sum(coeffs, power) != 0, (coeffs, power)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hypercube_power_sum([], 2)
@@ -182,14 +213,22 @@ class TestPairingBounds:
 
     @staticmethod
     def check(coeffs):
-        layers, pairs = pairing_bounds(coeffs)
-        halves = coeffs[: len(coeffs) // 2], coeffs[len(coeffs) // 2 :]
-        assert pairs >= math.prod(len(_form_tally(half)) for half in halves)
+        layers, pairs, folds = pairing_bounds(coeffs)
+        n = len(coeffs)
+        halves = coeffs[: n // 2], coeffs[n // 2 :]
+        left, right = (_form_tally(half) for half in halves)
+        assert pairs >= len(left) * len(right)
         # the layer after k coefficients is the tally of the first k
         made = sum(
             len(_form_tally(half[:k])) for half in halves for k in range(1, len(half) + 1)
         )
         assert layers >= made
+        if folds:
+            # the memory rule: the |forms| the sum tallies fit the fold's bound, and the bound
+            # fits the half tallies of any n coefficients
+            bound = min(pairs, sum(map(abs, coeffs)) // 2 + 1)
+            forms = {abs(u + v) for u in left for v in right}
+            assert len(forms) <= bound <= 2 ** (n // 2) + 2 ** (n - n // 2)
         return layers, pairs
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
