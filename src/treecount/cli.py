@@ -8,8 +8,10 @@ case mismatched), and 141 (128 + SIGPIPE) when the reader closes stdout
 early, as `| head` does.  Values go to stdout, one per line, as exact
 decimal strings of any length; diagnostics go to stderr.
 
-count and table take their families, sizes and closed forms from
-verify.FAMILIES, which verify sweeps; oracle calls the counters directly.
+count, table and oracle take their families, sizes, closed forms and
+oracles from verify.FAMILIES, which verify sweeps.  count degrees and the
+oracle of a total read the degree options, the closed form and the
+brute-force oracle that the total's record names as its profile.
 
 count and oracle read each option their query needs and reject any other
 given option as a usage error: no option is silently ignored.  oracle
@@ -51,7 +53,7 @@ import sys
 from itertools import product
 from typing import Iterator, Sequence
 
-from . import formulas, oracles, signsum, verify
+from . import oracles, signsum, verify
 from .combinatorics import SizeLimitError
 
 # Dense Bareiss elimination is cubic in the vertex count: K_100 takes about 0.25 s.
@@ -444,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--mode", choices=("direct", "multinomial", "both"), default="both")
 
     oracle = sub.add_parser("oracle", help="run a brute-force oracle directly")
-    oracle.add_argument("kind", choices=("complete", "bipartite", "matrix-tree"))
+    totals = (family for family, record in verify.FAMILIES.items() if record.profile)
+    oracle.add_argument("kind", choices=(*totals, "matrix-tree"))
     oracle.add_argument("--n", type=int)
     oracle.add_argument("--m", type=int)
     oracle.add_argument(
@@ -485,18 +488,15 @@ def _run_count(args) -> int:
         _check_bounds(args.family, sizes, sizes)
         print(count_text(record, sizes))
         return 0
-    if args.degrees is not None:
-        degrees = _read(args, "count degrees --degrees", ("degrees",))
-        value = formulas.trees_with_degrees_complete(*degrees)
-    elif args.a is not None or args.b is not None:
-        sides = _read(args, "count degrees --a --b", ("a", "b"))
-        value = formulas.trees_with_degrees_bipartite(*sides)
-    else:
-        raise ValueError(
-            "count degrees needs either --degrees (complete) or both --a and --b (bipartite)"
-        )
-    print(decimal_string(value))
-    return 0
+    # the first total, in table order, one of whose degree options is given
+    for options, formula, _ in (r.profile for r in verify.FAMILIES.values() if r.profile):
+        if any(getattr(args, name) is not None for name in options):
+            query = " ".join(["count degrees", *(f"--{name}" for name in options)])
+            print(decimal_string(formula(*_read(args, query, options))))
+            return 0
+    raise ValueError(
+        "count degrees needs either --degrees (complete) or both --a and --b (bipartite)"
+    )
 
 
 def _run_verify(args) -> int:
@@ -572,23 +572,21 @@ def _run_oracle(args) -> int:
     if args.kind == "matrix-tree":
         print(oracles.matrix_tree_count(_graph(args)))
         return 0
-    parameters = verify.FAMILIES[args.kind].parameters
+    record = verify.FAMILIES[args.kind]
+    options, _, kind = record.profile
     # at most one filter: --odd, or the degree profile of the graph
-    complete = args.kind == "complete"
-    brute = oracles.count_trees_complete_brute if complete else oracles.count_trees_bipartite_brute
-    profile = ("degrees",) if complete else ("a", "b")
-    has_profile = any(getattr(args, name) is not None for name in profile)
-    filter_ = ("odd",) if args.odd else profile if has_profile else ()
+    has_profile = any(getattr(args, name) is not None for name in options)
+    filter_ = ("odd",) if args.odd else options if has_profile else ()
     query = " ".join(["oracle", args.kind, *(f"--{name}" for name in filter_)])
-    sizes = _read(args, query, (*parameters, *filter_))[: len(parameters)]
+    sizes = _read(args, query, (*record.parameters, *filter_))[: len(record.parameters)]
     predicate = oracles.all_odd if args.odd else None
-    if filter_ == profile:
-        target = tuple(tuple(getattr(args, name)) for name in profile)
+    if filter_ == options:
+        target = tuple(tuple(getattr(args, name)) for name in options)
         lengths = [len(side) for side in target]
         if lengths != sizes:
             raise ValueError(f"{query} needs {sizes} degrees, one per vertex, got {lengths}")
         predicate = lambda *sides: sides == target
-    print(brute(*sizes, predicate))
+    print(record.oracles[kind](*sizes, predicate))
     return 0
 
 

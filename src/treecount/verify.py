@@ -12,7 +12,7 @@ import json
 import random
 import time
 from collections import namedtuple
-from itertools import product
+from itertools import product, starmap
 from typing import Iterator, Sequence
 
 from .combinatorics import (
@@ -108,7 +108,9 @@ class VerificationReport(namedtuple("VerificationReport", "cases")):
 
 
 class Family(
-    namedtuple("Family", "parameters scope odd powers formula oracles columns", defaults=(None,))
+    namedtuple(
+        "Family", "parameters scope odd powers formula oracles columns profile", defaults=(None, None)
+    )
 ):
     """A family of graphs, as count, table, oracle and verify read it.
 
@@ -121,6 +123,11 @@ class Family(
     reads of the cosh-power recurrence: (first, power), the arguments of
     signsum.cosh_power_columns, and rows(bracket, span), which yields the
     table's counts in row order, reading each c(k, p) as bracket(k, p).
+    profile, None for an odd family, is a total's degree profiles:
+    (options, formula, kind), the option names of the degree sequences, one
+    per side; their closed form, which takes the sequences in side order; and
+    the kind of the oracle that counts the trees of one profile, given the
+    sizes and a predicate on the per-side degree tuples.
     """
 
     __slots__ = ()
@@ -157,9 +164,12 @@ FAMILIES = {
         ("n",), scope="complete", odd=False, powers=complete_powers,
         formula=lambda n: spanning_trees_complete(n),
         oracles={
-            "pruefer-brute": lambda n: count_trees_complete_brute(n),
+            "pruefer-brute": lambda n, predicate=None: count_trees_complete_brute(n, predicate),
             "matrix-tree": lambda n: matrix_tree_count(LabeledGraph.complete(n)),
         },
+        profile=(
+            ("degrees",), lambda degrees: trees_with_degrees_complete(degrees), "pruefer-brute"
+        ),
     ),
     "bipartite": Family(
         ("m", "n"), scope="bipartite", odd=False, powers=bipartite_powers,
@@ -167,11 +177,14 @@ FAMILIES = {
         oracles={
             # the name matches neither the edge-subset search it once was nor the layered
             # tally it is now, and is kept because the pinned verify report carries it
-            "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n),
+            "edge-subset-brute": lambda m, n, predicate=None: count_trees_bipartite_brute(
+                m, n, predicate
+            ),
             "matrix-tree": lambda m, n: matrix_tree_count(
                 LabeledGraph.complete_bipartite(m, n)
             ),
         },
+        profile=(("a", "b"), lambda a, b: trees_with_degrees_bipartite(a, b), "edge-subset-brute"),
     ),
     "odd-complete": Family(
         ("n",), scope="complete", odd=True, powers=complete_powers,
@@ -227,35 +240,47 @@ def _family_specs(family: str, vertices: int) -> Iterator[_CaseSpec]:
 
 
 def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]:
-    # closure sums: the degree-constrained counts add up to the plain totals
-    for n in range(2, min(complete_max, 7) + 1):
-        yield _CaseSpec(
-            "degrees-complete",
-            {"n": n},
-            "degree-sum-closure",
-            lambda n=n: (
-                sum(
-                    trees_with_degrees_complete(d)
-                    for d in positive_compositions(2 * n - 2, n)
+    # closure sums: a total's degree-constrained counts add up to the total, over K_n up
+    # to 7 vertices and K_{m,n} up to the sweep bound; up to 6 vertices, each profile
+    # against the brute-force filter
+    bounds = {"complete": min(complete_max, 7), "bipartite": bipartite_max}
+    for family, record in FAMILIES.items():
+        if record.profile is None:
+            continue
+        options, formula, kind = record.profile
+        oracle = record.oracles[kind]
+        for sizes in _sizes(len(record.parameters), bounds[record.scope]):
+            vertices = sum(sizes)
+            if vertices < 2:
+                continue  # K_1's one vertex has the degree 0: no profile of positive degrees
+            params = dict(zip(record.parameters, sizes))
+            # a side's degrees sum to its ends of the tree's edges: K_{m,n} has one end
+            # of each edge on each side, K_n both on its one side
+            ends = 2 * (vertices - 1) // len(sizes)
+            profiles = lambda sizes=sizes, ends=ends: product(
+                *(positive_compositions(ends, size) for size in sizes)
+            )
+            yield _CaseSpec(
+                f"degrees-{family}",
+                params,
+                "degree-sum-closure",
+                lambda p=params, profiles=profiles, f=formula, total=record.formula: (
+                    sum(starmap(f, profiles())),
+                    total(**p),
                 ),
-                spanning_trees_complete(n),
-            ),
-        )
-    for m, n in _sizes(2, bipartite_max):
-        yield _CaseSpec(
-            "degrees-bipartite",
-            {"m": m, "n": n},
-            "degree-sum-closure",
-            lambda m=m, n=n: (
-                sum(
-                    trees_with_degrees_bipartite(a, b)
-                    for a, b in product(
-                        positive_compositions(m + n - 1, m), positive_compositions(m + n - 1, n)
-                    )
-                ),
-                spanning_trees_bipartite(m, n),
-            ),
-        )
+            )
+            if vertices > 6:
+                continue
+            for sides in profiles():
+                yield _CaseSpec(
+                    f"degrees-{family}",
+                    {**params, **dict(zip(options, map(list, sides)))},
+                    kind,
+                    lambda sizes=sizes, sides=sides, f=formula, o=oracle: (
+                        f(*sides),
+                        o(*sizes, lambda *degrees: degrees == sides),
+                    ),
+                )
     # odd-restricted closure against the odd counter
     for n in range(2, 11, 2):
         yield _CaseSpec(
@@ -270,32 +295,6 @@ def _degrees_specs(complete_max: int, bipartite_max: int) -> Iterator[_CaseSpec]
                 odd_spanning_trees_complete(n),
             ),
         )
-    # every individual degree profile against the brute-force filter
-    for n in range(2, min(complete_max, 6) + 1):
-        for degrees in positive_compositions(2 * n - 2, n):
-            yield _CaseSpec(
-                "degrees-complete",
-                {"n": n, "degrees": list(degrees)},
-                "pruefer-brute",
-                lambda n=n, degrees=degrees: (
-                    trees_with_degrees_complete(degrees),
-                    count_trees_complete_brute(n, lambda d: d == degrees),
-                ),
-            )
-    for m, n in _sizes(2, min(bipartite_max, 6)):
-        for side_a in positive_compositions(m + n - 1, m):
-            for side_b in positive_compositions(m + n - 1, n):
-                yield _CaseSpec(
-                    "degrees-bipartite",
-                    {"m": m, "n": n, "a": list(side_a), "b": list(side_b)},
-                    "edge-subset-brute",
-                    lambda m=m, n=n, side_a=side_a, side_b=side_b: (
-                        trees_with_degrees_bipartite(side_a, side_b),
-                        count_trees_bipartite_brute(
-                            m, n, lambda a, b: (a, b) == (side_a, side_b)
-                        ),
-                    ),
-                )
 
 
 def _signsum_specs(seed: int) -> Iterator[_CaseSpec]:

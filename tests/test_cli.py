@@ -66,6 +66,23 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "degrees", "--degrees", "2,2,1,1")
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize(
+        "family, argv, value",
+        [
+            ("complete", ["--degrees", "2,2,1,1"], 2211),
+            ("bipartite", ["--a", "2,2", "--b", "2,1,1"], 22211),
+        ],
+        ids=["complete", "bipartite"],
+    )
+    def test_degrees_print_the_closed_form_of_the_family_profile(
+        self, capsys, monkeypatch, family, argv, value
+    ):
+        record = verify.FAMILIES[family]
+        options, _, kind = record.profile
+        digits = lambda *sides: int("".join(str(d) for side in sides for d in side))
+        monkeypatch.setitem(verify.FAMILIES, family, record._replace(profile=(options, digits, kind)))
+        assert run_cli(capsys, "count", "degrees", *argv) == (0, f"{value}\n", "")
+
     def test_missing_size_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "count", "complete")
         assert code == 2
@@ -1135,6 +1152,29 @@ class TestOracle:
             "--m", "2", "--n", "3", "--a", "2,2", "--b", "2,1,1",
         )
         assert (code, out) == (0, "2\n")
+
+    @pytest.mark.parametrize(
+        "family, argv, profiles, out",
+        [
+            ("complete", ["--n", "4", "--degrees", "2,2,1,1"],
+             [((2, 2, 1, 1),), ((1, 1, 2, 2),)], "(4,) True False\n"),
+            ("bipartite", ["--m", "2", "--n", "3", "--a", "2,2", "--b", "2,1,1"],
+             [((2, 2), (2, 1, 1)), ((2, 2), (1, 1, 2))], "(2, 3) True False\n"),
+        ],
+        ids=["complete", "bipartite"],
+    )
+    def test_degree_filter_counts_through_the_family_profile_oracle(
+        self, capsys, monkeypatch, family, argv, profiles, out
+    ):
+        record = verify.FAMILIES[family]
+        options, formula, _ = record.profile
+        # the oracle named by the profile, printing its sizes and its predicate's verdicts
+        stub = lambda *args: " ".join([str(args[:-1]), *(str(args[-1](*p)) for p in profiles)])
+        patched = record._replace(
+            oracles={**record.oracles, "stub": stub}, profile=(options, formula, "stub")
+        )
+        monkeypatch.setitem(verify.FAMILIES, family, patched)
+        assert run_cli(capsys, "oracle", family, *argv) == (0, out, "")
 
     def test_bipartite_accept_all(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "bipartite", "--m", "2", "--n", "3")

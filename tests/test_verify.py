@@ -4,11 +4,13 @@ import ast
 import functools
 import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from treecount import verify
+from treecount.cli import main
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -80,6 +82,22 @@ class TestRunVerification:
         assert not report.all_match
         assert report.summary["failed"] > 0
 
+    @pytest.mark.parametrize("family", ["complete", "bipartite"])
+    def test_wrong_profile_closed_form_fails_only_its_family(self, capsys, monkeypatch, family):
+        record = verify.FAMILIES[family]
+        options, formula, kind = record.profile
+        wrong = lambda *sides: formula(*sides) + 1
+        monkeypatch.setitem(verify.FAMILIES, family, record._replace(profile=(options, wrong, kind)))
+        code = main(["verify", "--scope", "degrees", "--format", "jsonl"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        # the odd-parity closures of K_n sum the closed form itself, not the record's
+        assert [r for r in records if not r["match"]] == [
+            r
+            for r in records
+            if r["family"] == f"degrees-{family}" and "parity" not in r["parameters"]
+        ]
+        assert code == 1
+
     def test_raising_formula_fails_only_its_cases(self, monkeypatch):
         kwargs = dict(scopes=("complete", "bipartite"), complete_max=4, bipartite_max=4)
         clean = verify.run_verification(**kwargs)
@@ -100,7 +118,21 @@ class TestCaseContract:
     """The case lists the benchmark relies on: built, never run."""
 
     def test_default_case_count(self):
-        assert len(verify.build_specs()) == 636
+        specs = verify.build_specs()
+        # a degree bound that slips names the family it moved, before the total does
+        degrees = Counter(
+            (spec.family, spec.oracle_kind, spec.parameters.get("parity"))
+            for spec in specs
+            if spec.family.startswith("degrees-")
+        )
+        assert degrees == {
+            ("degrees-complete", "degree-sum-closure", None): 6,
+            ("degrees-complete", "degree-sum-closure", "odd"): 5,
+            ("degrees-complete", "pruefer-brute", None): 175,
+            ("degrees-bipartite", "degree-sum-closure", None): 36,
+            ("degrees-bipartite", "edge-subset-brute", None): 99,
+        }
+        assert len(specs) == 636
 
     def test_complete_signsum_case_count(self):
         specs = verify.build_specs(scopes=("complete", "signsum"), complete_max=6)
