@@ -33,12 +33,11 @@ values are still computed as ints and converted by decimal_string, in
 subquadratic time.  table prints rows as computed: `| head` stops it at once.
 
 A family whose record names its cosh-power columns, an odd one, reads its
-table from signsum.cosh_power_columns when _by_recurrence prices that below
-the kernel sums of its rows.  A one-row table at a count frontier, whose
-columns would still start at k = 0 or 1, takes the kernel, as every count
-does.  The largest odd tables admitted, odd-complete 2..971 and
-odd-bipartite 1..250, take 0.17 to 0.24 and 0.46 to 0.50 s (fresh process,
-2-core Xeon, Python 3.11.7).  A column is built when a row first reads it,
+table from signsum.cosh_power_columns when _recurrence_count prices that
+below the kernel sums of its rows; table_lines walks the rows either way, and
+takes each count from the record's row or from count_text.  A one-row table
+at a count frontier, whose columns would still start at k = 0 or 1, takes the
+kernel, as every count does.  A column is built when a row first reads it,
 so `| head` stops an odd-bipartite table within its first row with an odd m.
 """
 
@@ -51,7 +50,7 @@ import math
 import os
 import sys
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import oracles, signsum, verify
 from .combinatorics import SizeLimitError
@@ -71,7 +70,7 @@ MAX_DIGITS = 1_000_000
 # 3.11.7).  A million-digit total costs 1.08e11, so totals meet the digit bound first.
 # The largest tables admitted are odd-complete 2..971, odd-bipartite 1..250, bipartite
 # 1..341 and complete 1..3,690.  The odd two, and odd-complete 2..600, which costs 4.8e10,
-# take 0.17, 0.46 and 0.17 s from the cosh-power recurrence, which _by_recurrence prices
+# take 0.17, 0.46 and 0.17 s from the cosh-power recurrence, which _recurrence_count prices
 # below their kernel sums, and the other two 4.4 and 3.5 s, in a fresh process (2-core
 # Xeon, Python 3.11.7).  The
 # rendering weight of four kernel terms is a rough midpoint, not a fit: decimal_string
@@ -240,22 +239,21 @@ def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float, float]:
     return digits, _work(terms, bits, digits)
 
 
-def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> float:
-    """Reject the counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
+def _check_bounds(record: verify.Family, first: Sequence[int], last: Sequence[int]) -> float:
+    """Reject a family's counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
     The counts are those of every size tuple between the two, one row each, so
-    a single count is the one-row table first == last; _row prices each row,
-    and raises the formula's own ValueError for a size it rejects.  Odd and
-    degree-constrained counts never exceed the family's total, which grows
-    with every size, and a count 0 by parity, which the parity of each size
-    decides, has the one digit of "0": so the most digits that _row gives the
-    rows made of each range's last two sizes, from logarithms alone, bound
-    every count.  The work sums from the first row and stops at the first
-    row that crosses the bound, so a huge table is rejected after a few of
-    its rows.  Returns the work of the rows.
+    a single count is the one-row table first == last; _row prices each row
+    from the family's record, and raises the formula's own ValueError for a
+    size it rejects.  Odd and degree-constrained counts never exceed the
+    family's total, which grows with every size, and a count 0 by parity,
+    which the parity of each size decides, has the one digit of "0": so the
+    most digits that _row gives the rows made of each range's last two
+    sizes, from logarithms alone, bound every count.  The work sums from the
+    first row and stops at the first row that crosses the bound, so a huge
+    table is rejected after a few of its rows.  Returns the work of the rows.
     """
     tail = product(*(range(b, max(a, b - 1) - 1, -1) for a, b in zip(first, last)))
-    record = verify.FAMILIES[family]
     digits = max(_row(record, sizes)[0] for sizes in tail)
     if digits > MAX_DIGITS:
         raise SizeLimitError(
@@ -273,8 +271,10 @@ def _check_bounds(family: str, first: Sequence[int], last: Sequence[int]) -> flo
     return work
 
 
-def _by_recurrence(record: verify.Family, stop: int, work: float) -> bool:
-    """Whether a family's table up to `stop` costs less from cosh_power_columns than `work`.
+def _recurrence_count(
+    record: verify.Family, start: int, stop: int, work: float
+) -> Callable[[Sequence[int]], str] | None:
+    """A table's count of a row from signsum.cosh_power_columns; None if that costs `work` or more.
 
     `work` is the price of the table's rows, their kernel sums and
     renderings, as _check_bounds sums it; a family without columns, a total,
@@ -287,29 +287,25 @@ def _by_recurrence(record: verify.Family, stop: int, work: float) -> bool:
     are in `work` only: the choice errs toward the recurrence by at most their
     price.  The sum stops once it reaches `work`, so a table of zeros at huge
     sizes, priced a digit a row, is never priced past a few columns.
+
+    The function returned takes a row's sizes, the rows in table order, and
+    gives the text of the record's row(bracket, *sizes), which reads each
+    c(k, p) through bracket, which builds a column when a row first reads it.
+    On the triangle, with no power, each column replaces the one before it; on
+    the grid each column from k = start on is kept from p = start - 1, the
+    least power a row reads.
     """
     if record.columns is None:
-        return False
-    first, power, _ = record.columns(stop)
+        return None
+    first, power, row = record.columns(stop)
     price = 0.0
     for k in range(first + 2, stop + 1, 2):
         steps = (k if power is None else power + 2) // 2 - 1
         price += _work((), 0, 0, [(steps, _times(steps + 1, math.log2(k)), 2)])
         if price >= work:
             break
-    return price < work
-
-
-def _recurrence_counts(record: verify.Family, start: int, stop: int) -> Iterator[int]:
-    """A family's counts over its table's rows, in order, from signsum.cosh_power_columns.
-
-    The rows that record.columns(stop) names read each c(k, p) through
-    bracket, which builds a column when a row first reads it.  On the
-    triangle, with no power, each column replaces the one before it; on the
-    grid each column from k = start on is kept from p = start - 1, the least
-    power a row reads.
-    """
-    first, power, rows = record.columns(stop)
+    if not price < work:
+        return None
     columns, kept, k = signsum.cosh_power_columns(first, power), {}, first - 2
     low = 0 if power is None else start // 2
 
@@ -323,7 +319,8 @@ def _recurrence_counts(record: verify.Family, start: int, stop: int) -> Iterator
                 kept[k] = column[low:] if low else column
         return kept[side][p // 2 - low]
 
-    return rows(bracket, range(start, stop + 1))
+    read = functools.partial(row, bracket)  # row(bracket, *sizes) builds an argument list a row
+    return lambda sizes: decimal_string(read(*sizes))
 
 
 def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
@@ -485,7 +482,7 @@ def _run_count(args) -> int:
     if args.family in verify.FAMILIES:
         record = verify.FAMILIES[args.family]
         sizes = _read(args, f"count {args.family}", record.parameters)
-        _check_bounds(args.family, sizes, sizes)
+        _check_bounds(record, sizes, sizes)
         print(count_text(record, sizes))
         return 0
     # the first total, in table order, one of whose degree options is given
@@ -531,19 +528,16 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
     record = verify.FAMILIES[family]
     sides = len(record.parameters)
-    work = _check_bounds(family, [start] * sides, [stop] * sides)
-    span = range(start, stop + 1)
-    if _by_recurrence(record, stop, work):
-        counts = map(decimal_string, _recurrence_counts(record, start, stop))
-    else:
-        counts = (count_text(record, sizes) for sizes in product(span, repeat=sides))
+    work = _check_bounds(record, [start] * sides, [stop] * sides)
+    count = _recurrence_count(record, start, stop, work) or functools.partial(count_text, record)
     if fmt == "csv":
         yield ",".join((*record.parameters, "count"))
-    for sizes, count in zip(product(span, repeat=sides), counts):
+    for sizes in product(range(start, stop + 1), repeat=sides):
+        text = count(sizes)
         if fmt == "jsonl":
-            yield json.dumps({**dict(zip(record.parameters, sizes)), "count": count}, sort_keys=True)
+            yield json.dumps({**dict(zip(record.parameters, sizes)), "count": text}, sort_keys=True)
         else:
-            yield ",".join((*map(str, sizes), count))
+            yield ",".join((*map(str, sizes), text))
 
 
 def _run_table(args) -> int:

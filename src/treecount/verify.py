@@ -121,8 +121,8 @@ class Family(
     and look every function up when called: a patched attribute takes effect.
     columns(stop), None for a total, names what the family's table up to stop
     reads of the cosh-power recurrence: (first, power), the arguments of
-    signsum.cosh_power_columns, and rows(bracket, span), which yields the
-    table's counts in row order, reading each c(k, p) as bracket(k, p).
+    signsum.cosh_power_columns, and row(bracket, *sizes), one row's count,
+    which reads each c(k, p) as bracket(k, p).
     profile, None for an odd family, is a total's degree profiles:
     (options, formula, kind), the option names of the degree sequences, one
     per side; their closed form, which takes the sequences in side order; and
@@ -194,9 +194,7 @@ FAMILIES = {
             "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
         },
         # the triangle: column n ends at c(n, n - 2)
-        columns=lambda stop: (0, None, lambda bracket, span: (
-            0 if n % 2 else bracket(n, n - 2) for n in span
-        )),
+        columns=lambda stop: (0, None, lambda bracket, n: 0 if n % 2 else bracket(n, n - 2)),
     ),
     "odd-bipartite": Family(
         ("m", "n"), scope="bipartite", odd=True, powers=bipartite_powers,
@@ -206,9 +204,8 @@ FAMILIES = {
             "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
         },
         # the grid of odd k <= stop at the even p < stop
-        columns=lambda stop: (1, stop - 1, lambda bracket, span: (
+        columns=lambda stop: (1, stop - 1, lambda bracket, m, n: (
             bracket(m, n - 1) * bracket(n, m - 1) if m & n & 1 else 0
-            for m, n in product(span, repeat=2)
         )),
     ),
 }

@@ -15,9 +15,9 @@ from treecount.cli import (
     MAX_DIGITS,
     decimal_string,
     MAX_WORK,
-    _by_recurrence,
     _check_bounds,
     _check_signsum_bounds,
+    _recurrence_count,
     _row,
     _times,
     _work,
@@ -438,9 +438,10 @@ class TestZeroByParity:
         assert_usage_error(
             *run_cli(capsys, "table", "--family", "odd-complete", "--from", "189484", "--to", "189485")
         )
+        record = verify.FAMILIES["odd-bipartite"]
         with pytest.raises(ValueError, match="digits is above the bound"):
-            _check_bounds("odd-bipartite", [1, 1], [1000002, 1000002])
-        _check_bounds("odd-bipartite", [1000002, 999999], [1000002, 1000002])  # every row 0
+            _check_bounds(record, [1, 1], [1000002, 1000002])
+        _check_bounds(record, [1000002, 999999], [1000002, 1000002])  # every row 0
 
     @pytest.mark.parametrize(
         "family, sizes",
@@ -496,22 +497,22 @@ class TestKernelBound:
         ],
     )
     def test_admits_the_huge_counts_sizes_and_totals(self, family, sizes):
-        _check_bounds(family, sizes, sizes)
+        _check_bounds(verify.FAMILIES[family], sizes, sizes)
 
     def test_bound_grows_with_every_size(self):
         # a count whose powers are all even is admitted up to odd-complete n = 5,592 and
         # odd-bipartite m = n = 4,347, and rejected at the next two such sizes; a count with
         # an odd power is 0 without any sum, and admitted on both sides of that frontier
         for n in (5592, 5593, 5595):
-            _check_bounds("odd-complete", [n], [n])
+            _check_bounds(verify.FAMILIES["odd-complete"], [n], [n])
         for n in (4347, 4348, 4350):
-            _check_bounds("odd-bipartite", [n, n], [n, n])
+            _check_bounds(verify.FAMILIES["odd-bipartite"], [n, n], [n, n])
         for n in (5594, 5596):
             with pytest.raises(ValueError):
-                _check_bounds("odd-complete", [n], [n])
+                _check_bounds(verify.FAMILIES["odd-complete"], [n], [n])
         for n in (4349, 4351):
             with pytest.raises(ValueError):
-                _check_bounds("odd-bipartite", [n, n], [n, n])
+                _check_bounds(verify.FAMILIES["odd-bipartite"], [n, n], [n, n])
 
     @pytest.mark.parametrize(
         "argv",
@@ -600,13 +601,14 @@ def takes_recurrence(family, start, stop):
     """Whether table_lines reads the table from signsum.cosh_power_columns, priced as it prices it."""
     record = verify.FAMILIES[family]
     sides = len(record.parameters)
-    return _by_recurrence(record, stop, _check_bounds(family, [start] * sides, [stop] * sides))
+    work = _check_bounds(record, [start] * sides, [stop] * sides)
+    return _recurrence_count(record, start, stop, work) is not None
 
 
 def per_arity_recurrence_price(record, stop):
     """The recurrence's full price of a table up to `stop`, worked out from the family's arity.
 
-    The reference for _by_recurrence, which reads the columns from the family's record:
+    The reference for _recurrence_count, which reads the columns from the family's record:
     K_n's triangle from column 4, k/2 - 1 steps a column, and K_{m,n}'s grid from column 3,
     (stop - 1) // 2 steps a column.
     """
@@ -671,14 +673,15 @@ class TestTablePath:
         record = verify.FAMILIES[family]
         for stop in (*range(1, 401), 971, 2000, 4347, 5592):
             price = per_arity_recurrence_price(record, stop)
-            assert not _by_recurrence(record, stop, price), stop
-            assert _by_recurrence(record, stop, math.nextafter(price, math.inf)), stop
+            assert _recurrence_count(record, 1, stop, price) is None, stop
+            above = math.nextafter(price, math.inf)
+            assert _recurrence_count(record, 1, stop, above) is not None, stop
 
     @pytest.mark.parametrize("family", ["complete", "bipartite"])
     def test_total_names_no_columns(self, family):
         record = verify.FAMILIES[family]
         assert record.columns is None
-        assert not _by_recurrence(record, 100, math.inf)
+        assert _recurrence_count(record, 1, 100, math.inf) is None
 
     @pytest.mark.parametrize("family, start, stop", [("odd-complete", 2, 120), ("odd-bipartite", 1, 40)])
     def test_recurrence_makes_no_kernel_sum(self, monkeypatch, family, start, stop):
@@ -703,6 +706,50 @@ class TestTablePath:
         lines = table_lines("odd-bipartite", 1, 250, "csv")
         assert [next(lines) for _ in range(4)] == ["m,n,count", "1,1,1", "1,2,0", "1,3,1"]
         assert built == [125, 125]  # columns 1 and 3, each at the 125 even powers below 250
+
+    @pytest.mark.parametrize("family, start, stop", [("odd-complete", 2, 120), ("odd-bipartite", 1, 40)])
+    def test_table_reads_each_row_once_in_row_order(self, monkeypatch, family, start, stop):
+        # the record states one row's count; table_lines alone walks the rows
+        record = verify.FAMILIES[family]
+        calls = []
+
+        def value(sizes):  # n, or m * 1000 + n: each row's own
+            return sum(size * 1000**i for i, size in enumerate(reversed(sizes)))
+
+        def row(bracket, *sizes):
+            calls.append(sizes)
+            return value(sizes)
+
+        monkeypatch.setitem(
+            verify.FAMILIES, family, record._replace(columns=lambda s: (*record.columns(s)[:2], row))
+        )
+        assert takes_recurrence(family, start, stop)
+        lines = list(table_lines(family, start, stop, "csv"))
+        rows = list(product(range(start, stop + 1), repeat=len(record.parameters)))
+        assert calls == rows
+        assert lines[1:] == [",".join((*map(str, sizes), str(value(sizes)))) for sizes in rows]
+
+    @pytest.mark.parametrize("family, top", [("odd-complete", 60), ("odd-bipartite", 25)])
+    def test_row_states_the_closed_form(self, family, top):
+        record = verify.FAMILIES[family]
+        row = record.columns(top)[2]
+        for sizes in product(range(1, top + 1), repeat=len(record.parameters)):
+            assert row(formulas._bracket, *sizes) == record.formula(*sizes), sizes
+
+    def test_kernel_path_builds_no_column(self, monkeypatch):
+        # tables that take the kernel: deciding so prices the columns and builds none
+        tables = [
+            ("odd-complete", 57, 60), ("odd-bipartite", 57, 60), ("odd-complete", 100, 100),
+            ("complete", 1, 30),
+        ]
+        assert not any(takes_recurrence(*table) for table in tables)
+        expected = [list(table_lines(*table, "csv")) for table in tables]
+
+        def columns(first, power=None):
+            raise AssertionError("cosh_power_columns called")
+
+        monkeypatch.setattr(signsum, "cosh_power_columns", columns)
+        assert [list(table_lines(*table, "csv")) for table in tables] == expected
 
 
 class TestInternalError:
