@@ -80,7 +80,7 @@ MAX_DIGITS = 1_000_000
 # overstates it; the weight, and with it every frontier above, is kept, as totals meet
 # the digit bound first.  The largest sign sums admitted, 20 ones in direct mode at power
 # 123,734, the 22 distinct powers of two 1..2**21 in direct mode at power 2, --coeffs 1
-# --mode multinomial at power 2,338 and 30 ones in multinomial mode at power 668, take
+# --mode multinomial at power 2,338 and 30 ones in multinomial mode at power 1,132, take
 # about 0.35, 0.8, 0.7 and 0.6 s in a fresh process (same machine).
 MAX_WORK = 150_000_000_000
 
@@ -342,8 +342,9 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     power, where pairs of equal |form| may share one.  The expansion returns
     0 at once for an odd power; for an even one it builds a binomial table
     of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits, then
-    makes signsum.product_count(coeffs) convolutions of t terms, each two
-    products of at most a form's bits.
+    makes signsum.product_count(coeffs) passes and convolutions of t terms,
+    each two products of at most a form's bits, the last one-entry product
+    priced as a full one.
     Counts past the float range price at inf, not an OverflowError; no terms, 0.
     """
     if power < 0:

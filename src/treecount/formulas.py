@@ -124,8 +124,8 @@ def odd_spanning_trees_complete_by_sum(n: int) -> int:
     parts -- each composition is the profile of degree excesses d_i - 1.
     That is (n-2)! * [x**(n-2)] cosh(x)**n, the Prüfer-code exponential
     generating function, evaluated with n unit weights by
-    even_multinomial_sum, which raises cosh's series to the n-th power by
-    repeated squaring, in O(n**2 * log(n)) exact integer steps.
+    even_multinomial_sum, which raises cosh's series to the n-th power in
+    one pass of Miller's power recurrence, in O(n**2) exact integer steps.
     Independent of the binomial form above; useful as a cross-check and
     benchmark subject.
     """

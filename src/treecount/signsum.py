@@ -36,14 +36,17 @@ it pays only for a table of counts: the CLI chooses it by price.
 even_multinomial_sum also gives formulas the composition-sum form of the
 odd spanning-tree counts.  It sums over the even compositions without
 listing them, one cosh series per distinct |weight| raised to its
-multiplicity by repeated squaring, so its cost grows with power**2 times
-log2(n) per distinct |weight|, not with the number of compositions.
+multiplicity in one pass of Miller's power recurrence, so its cost grows
+with power**2 per distinct |weight|, not with the number of compositions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
+
+from .combinatorics import InexactDivisionError
 
 CoefficientVector = Sequence[int]
 
@@ -156,13 +159,14 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     exact division; the convolution itself is exact integer products.
 
     cosh is even, so the weights are tallied by their squares s, and a
-    square of 0, cosh(0) = 1, is skipped.  The series [s**i] of each other
-    square is raised to its multiplicity by repeated squaring, and the
-    first factor taken stands in for the series 1 without a product.  A
-    product costs about power**2/8 terms, and a square of multiplicity m
-    takes at most 2 * log2(m) products, never more than m: n equal
-    weights, as in the odd counts, take about 2 * log2(n), not n.
-    product_count counts them.
+    square of 0, cosh(0) = 1, is skipped.  Each other square is one factor
+    [s**i], or two at multiplicity 2; at m >= 3 it is cosh(x)**m scaled by
+    s**i, made in one pass by J. C. P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, 4.7): c[0] = 1, k * c[k] = sum over j = 1..k of
+    ((m+1)*j - k) * C(2k, 2j) * c[k-j], a division that raises
+    InexactDivisionError on a remainder.  The last product of the factors
+    makes only the entry at power/2.  A pass or a product costs about
+    power**2/8 terms, whatever m is; product_count counts them.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
@@ -177,24 +181,34 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
             row.append(c)
         choose.append(row)
 
-    def product(a: list[int], b: list[int]) -> list[int]:
-        return [
-            sum(row[i] * a[i] * b[j - i] for i in range(j + 1)) for j, row in enumerate(choose)
-        ]
+    def product(a: list[int], b: list[int], rows: list[list[int]] = choose) -> list[int]:
+        return [sum(c * x * y for c, x, y in zip(row, a, b[len(row) - 1 :: -1])) for row in rows]
 
-    series: list[int] | None = None  # the product so far; None stands for the series 1
+    def raised(times: int) -> list[int]:  # cosh(x)**times, by Miller's recurrence in one pass
+        column = [1]
+        for k, row in enumerate(choose[1:], 1):
+            scales = itertools.count(times + 1 - k, times + 1)  # (times + 1) * j - k, j >= 1
+            total = sum(a * c * b for a, c, b in zip(scales, row[1:], column[::-1]))
+            entry, rest = divmod(total, k)
+            if rest:
+                raise InexactDivisionError(f"entry {k} of cosh**{times} leaves {rest} mod {k}")
+            column.append(entry)
+        return column
+
+    factors = []  # a series per nonzero square, its own powers taken once or twice, or raised
     for square, times in _squares(weights).items():
-        factor = [square**i for i in range(half + 1)]  # raised to 1, 2, 4, ... as times halves
-        while True:
-            if times & 1:
-                series = factor if series is None else product(series, factor)
-            times >>= 1
-            if not times:
-                break
-            factor = product(factor, factor)
-    if series is None:
+        if times < 3:
+            factors += [[square**i for i in range(half + 1)]] * times
+        elif square == 1:
+            factors.append(raised(times))
+        else:
+            factors.append([c * square**i for i, c in enumerate(raised(times))])
+    if not factors:
         return 0 if half else 1
-    return series[half]
+    series = factors.pop()
+    while len(factors) > 1:
+        series = product(series, factors.pop())
+    return product(series, factors[0], choose[half:])[0] if factors else series[half]
 
 
 def _squares(weights: CoefficientVector) -> dict[int, int]:
@@ -207,16 +221,17 @@ def _squares(weights: CoefficientVector) -> dict[int, int]:
 
 
 def product_count(weights: CoefficientVector) -> int:
-    """The number of series products even_multinomial_sum(weights, power) makes at an even power.
+    """The full series convolutions even_multinomial_sum(weights, power) makes at an even power.
 
-    A nonzero square of multiplicity m takes bit_length(m) - 1 squarings of
-    its factor and popcount(m) factors into the running product, and the
-    first factor taken of all replaces the series 1 without a product: 30
-    equal weights take 4 squarings and 4 - 1 products, 7 in all, not 30.
-    Each product is one convolution of about power**2/8 terms.
+    A nonzero square of multiplicity 1 or 2 is one or two factors, and one
+    of m >= 3 one factor made by a pass of as many terms: 30 equal weights
+    take one pass.  Each factor after the first takes one product.  The
+    last makes only the entry at power/2, but is counted, and so priced, as
+    a full convolution of about power**2/8 terms, as passes and products are.
     """
-    taken = sum(m.bit_length() - 1 + m.bit_count() for m in _squares(weights).values())
-    return max(taken - 1, 0)
+    squares = _squares(weights).values()
+    factors = sum(m if m < 3 else 1 for m in squares)
+    return sum(m > 2 for m in squares) + max(factors - 1, 0)
 
 
 def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
@@ -227,7 +242,7 @@ def multinomial_power_sum(coeffs: CoefficientVector, power: int) -> int:
     odd exponent anywhere cancel between mirrored sign vectors, which is
     why only even compositions appear; an odd `power` therefore gives 0.
     The sum is even_multinomial_sum's convolution, whose cost grows with
-    power**2 times log2(n) per distinct |ai|.
+    power**2 per distinct |ai|, whatever its multiplicity.
     """
     n = len(coeffs)
     if n < 1:

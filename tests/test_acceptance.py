@@ -220,16 +220,16 @@ def test_checked_divisions_are_always_exact():
 
 
 def test_dual_forms_agree():
-    """Binomial-form and composition-sum-form counters agree: n <= 60 for
-    complete graphs, m,n <= 30 for bipartite ones."""
+    """Binomial-form and composition-sum-form counters agree: n <= 200 for
+    complete graphs, m,n <= 80 for bipartite ones."""
     failures = []
-    for n in range(2, 61):
+    for n in range(2, 201):
         closed = odd_spanning_trees_complete(n)
         summed = odd_spanning_trees_complete_by_sum(n)
         if closed != summed:
             failures.append(("complete", n, closed, summed))
-    for m in range(1, 31):
-        for n in range(1, 31):
+    for m in range(1, 81):
+        for n in range(1, 81):
             closed = odd_spanning_trees_bipartite(m, n)
             summed = odd_spanning_trees_bipartite_by_sum(m, n)
             if closed != summed:

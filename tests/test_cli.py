@@ -1051,7 +1051,7 @@ class TestSignsum:
             # fresh-process times, 2-core Xeon, Python 3.11
             ([1], "multinomial", 2338),  # the binomial table alone, about 0.6 s
             ([1, 2], "both", 1708),  # both modes' work and renderings, about 0.9 s
-            ([1] * 30, "multinomial", 668),  # 7 convolutions, about 0.5 s
+            ([1] * 30, "multinomial", 1132),  # one pass of the power recurrence, about 0.6 s
             ([1] * 20, "direct", 123_734),  # 11 * 11 pairs, about 0.6 s
             ([9], "direct", 1_047_950),  # the digit bound: 9**power has a million digits
             ([2**i for i in range(22)], "direct", 2),  # 2**22 pairs of distinct forms, 0.7 s

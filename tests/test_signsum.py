@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecount import signsum
+from treecount.combinatorics import InexactDivisionError
 from treecount.signsum import (
     _form_tally,
     binomial_power_sum,
@@ -53,20 +55,24 @@ def per_weight_even_multinomial_sum(weights, power):
 
     The running exponential series is multiplied by each weight's cosh(w*x) in
     turn, a'[2j] = sum over i <= j of C(2j, 2i) * w**(2i) * a[2j-2i], with the
-    binomials from math.comb: no tally by square and no repeated squaring.
+    binomials from math.comb: no tally by square and no power recurrence.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     if power % 2:
         return 0
-    half = power // 2
+    return per_weight_series(weights, power // 2)[-1]
+
+
+def per_weight_series(weights, half):
+    """The reference's sums for the totals 0, 2, ..., 2 * half, from one series."""
     series = [1] + [0] * half  # series[j] is the sum for the total 2j so far
     for w in weights:
         series = [
             sum(math.comb(2 * j, 2 * i) * w ** (2 * i) * series[j - i] for i in range(j + 1))
             for j in range(half + 1)
         ]
-    return series[half]
+    return series
 
 
 coeff_vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=8)
@@ -330,29 +336,32 @@ class TestEvenMultinomialSum:
                     weights, power
                 ), (weights, power)
 
-    def test_multiplicities_cover_every_binary_digit(self):
-        # every multiplicity up to 40, alone and with a second square whose factors
-        # are multiplied into the first one's product
-        for n in range(1, 41):
-            for weights in ([1] * n, [1] * n + [2] * (n % 5)):
-                assert even_multinomial_sum(weights, 8) == per_weight_even_multinomial_sum(
-                    weights, 8
-                ), weights
+    def test_every_multiplicity_alone_and_with_other_squares(self):
+        # multiplicities 1 and 2 are their powers taken once and twice, 3 and up one pass of
+        # the power recurrence each: alone, the pass's column is read at its last entry; after
+        # a 2, it goes into the last product, which makes one entry; between a 2 and a 3, into
+        # a full product.  Every even power up to 40 is checked against one reference series.
+        for m in range(1, 65):
+            for weights in ([1] * m, [1] * m + [2], [2] + [1] * m + [3]):
+                for half, expected in enumerate(per_weight_series(weights, 20)):
+                    assert even_multinomial_sum(weights, 2 * half) == expected, (weights, half)
 
-    def test_thirty_equal_weights_take_seven_products(self):
-        # 30 = 0b11110: four squarings, and four factors taken, the first without a product
-        assert product_count([1] * 30) == 7
-        assert product_count([3, -3, 0, 0]) == 1  # one square of multiplicity 2, no zero
+    def test_thirty_equal_weights_take_one_pass(self):
+        assert product_count([1] * 30) == 1
+        assert product_count([3, -3, 0, 0]) == 1  # one square taken twice: the last product
+        assert product_count([1, 2, 2, -2]) == 2  # a pass, and one product with the 1s
+        assert product_count([1, 2, 3]) == 2
         assert product_count([0, 0]) == product_count([5]) == product_count([]) == 0
 
     @given(st.lists(st.integers(-4, 4), max_size=40))
     def test_product_count_counts_the_products_made(self, weights):
-        # the products even_multinomial_sum makes, counted as calls of its local product
+        # the convolutions even_multinomial_sum makes, counted as calls of its local product,
+        # the last one-entry product among them, and of its local pass of the power recurrence
         made = 0
 
         def profile(frame, event, arg):
             nonlocal made
-            made += event == "call" and frame.f_code.co_name == "product"
+            made += event == "call" and frame.f_code.co_name in ("product", "raised")
 
         sys.setprofile(profile)
         try:
@@ -360,6 +369,13 @@ class TestEvenMultinomialSum:
         finally:
             sys.setprofile(None)
         assert product_count(weights) == made
+
+    def test_an_inexact_division_of_the_pass_raises(self, monkeypatch):
+        # Miller's recurrence holds at any exponent, but cosh(x)**3.5 has 7/2 at x**2: divided
+        # by 1, the pass's first entry leaves 1/2, which it must not floor
+        monkeypatch.setattr(signsum, "_squares", lambda weights: {1: Fraction(7, 2)})
+        with pytest.raises(InexactDivisionError):
+            even_multinomial_sum([1], 2)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
