@@ -32,11 +32,11 @@ powers, so no binary int is converted; odd counts, degree counts and signsum
 values are still computed as ints and converted by decimal_string, in
 subquadratic time.  table prints rows as computed: `| head` stops it at once.
 
-A family whose record names its cosh-power columns, an odd one, reads its
-table from signsum.cosh_power_columns when _recurrence_count prices that
-below the kernel sums of its rows; table_lines walks the rows either way, and
-takes each count from the record's row or from count_text.  A one-row table
-at a count frontier, whose columns would still start at k = 0 or 1, takes the
+An odd family's record names its cosh-power columns; its table reads them from
+signsum.cosh_power_columns when _recurrence_count prices that below the kernel
+sums of its rows.  table_lines walks the rows either way, each count from the
+record's row, formulas.*_brackets, or from count_text.  A one-row table at a
+count frontier, whose columns would still start at k = 0 or 1, takes the
 kernel, as every count does.  A column is built when a row first reads it,
 so `| head` stops an odd-bipartite table within its first row with an odd m.
 """
@@ -162,7 +162,7 @@ def count_text(record: verify.Family, sizes: Sequence[int]) -> str:
     decimal, are computed as ints and rendered by decimal_string.  The sizes
     are checked by record.powers, with the formula's own messages.
     """
-    if not record.odd:
+    if record.columns is None:
         powers = record.powers(*sizes)
         if sum(_times(p, math.log2(k)) for k, p in powers) >= DECIMAL_SPLIT_BITS:
             import decimal
@@ -212,28 +212,28 @@ def _work(
 def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float, float]:
     """The digits of the row's count at `sizes`, bounded by the family's total, and its work.
 
-    The total is the product of the family's powers k**p.  An odd count with
-    an odd power is 0, as formulas returns it without any sum: its row has
-    the one digit of "0" and costs its rendering alone.  Any other row has
-    its total's digits and is priced by _work: each sum of an odd count, or
-    the one product of a total's powers, and the count's decimal rendering.
-    A sum (k, p) adds (k + 1) // 2 terms of k + p*log2(k) bits, one per base,
-    each one multiplication of a weight: an upper bound on the bits, as
-    binomial_power_sum raises only the odd primes among its weights to the
-    power and pushes the other weights by shifts and short powers, and a
-    pair that repeats, as K_{m,m}'s does, is summed once.  A sum at p = 0 is
-    left out, as formulas._bracket returns 1 without summing.  Sizes past the
-    float range measure inf, unless a factor of 0 (a star K_{1,n}) cancels
-    them.
+    The total is the product of the family's powers k**p.  An odd count, which
+    a family with columns counts, is 0 at an odd power, as formulas returns it
+    without any sum: its row has the one digit of "0" and costs its rendering
+    alone.  Any other row has its total's digits and is priced by _work: each
+    sum of an odd count, or the one product of a total's powers, and the
+    count's decimal rendering.  A sum (k, p) adds (k + 1) // 2 terms of
+    k + p*log2(k) bits, one per base, each one multiplication of a weight: an
+    upper bound on the bits, as binomial_power_sum raises only the odd primes
+    among its weights to the power and pushes the other weights by shifts and
+    short powers, and a pair that repeats, as K_{m,m}'s does, is summed once.
+    A sum at p = 0 is left out, as formulas._bracket returns 1 without
+    summing.  Sizes past the float range measure inf, unless a factor of 0 (a
+    star K_{1,n}) cancels them.
     """
     powers = record.powers(*sizes)
-    if record.odd and any(p % 2 for _, p in powers):
+    if record.columns and any(p % 2 for _, p in powers):
         return 1.0, _work([], 0.0, 1.0)
     digits = sum(_times(p, math.log10(k)) for k, p in powers)
     bits = digits * math.log2(10)
     terms = (
         [((k + 1) // 2, _times(k, 1.0) + _times(p, math.log2(k)), 1) for k, p in powers if p]
-        if record.odd
+        if record.columns
         else [(1, bits, 1)]
     )
     return digits, _work(terms, bits, digits)

@@ -18,7 +18,6 @@ sweep composition spaces without tripping on infeasible profiles.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 from .combinatorics import exact_div, multinomial
@@ -112,9 +111,10 @@ def odd_spanning_trees_complete(n: int) -> int:
     division is checked and cannot fail for a correct sum.  For odd n the
     power n-2 is odd, the k and n-k terms cancel, and 0 is returned
     without building the sum or 2**n; this covers n = 1, whose lone vertex
-    has even degree 0.
+    has even degree 0.  The count is complete_brackets over _bracket.
     """
-    return _odd_count(complete_powers(n), _bracket)
+    _check_size(n, "n")
+    return complete_brackets(_bracket, n)
 
 
 def odd_spanning_trees_complete_by_sum(n: int) -> int:
@@ -137,24 +137,27 @@ def odd_spanning_trees_complete_by_sum(n: int) -> int:
 def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     """Number of spanning trees of K_{m,n} with every degree odd.
 
-    Evaluates the product of the two one-sided binomial sums divided by
-    2**(m+n), exactly, each sum divided by 2**side first.  Whenever m or n
-    is even the count is 0, forced by the handshaking parity of the side
-    degree sums: the other side's power is odd, its sum is 0, and the
-    product is returned as 0 without summing either bracket.
+    Evaluates bipartite_brackets over _bracket: the product of the two
+    one-sided binomial sums, each divided exactly by 2**side.  Whenever m
+    or n is even, the other side's power is odd and the count is 0, forced
+    by the handshaking parity of the side degree sums: no sum is made.
     """
-    return _odd_count(bipartite_powers(m, n), _bracket)
+    _check_size(m, "m")
+    _check_size(n, "n")
+    return bipartite_brackets(_bracket, m, n)
 
 
-def _odd_count(powers: list[tuple[int, int]], bracket: Callable[[int, int], int]) -> int:
-    """prod bracket(k, p) over `powers`, a form of k signs to the p averaged: 0 if a p is odd.
+def complete_brackets(bracket: Callable[[int, int], int], n: int) -> int:
+    """K_n's odd count c(n, n - 2), read as bracket(n, n - 2), or 0 at odd n; checks no size."""
+    return 0 if n % 2 else bracket(n, n - 2)
 
-    No bracket is made when a power is odd.  A pair that repeats, as
-    K_{m,m}'s two do, is summed once and raised to its multiplicity.
-    """
-    if any(p % 2 for _, p in powers):
+
+def bipartite_brackets(bracket: Callable[[int, int], int], m: int, n: int) -> int:
+    """K_{m,n}'s odd count c(m, n - 1) * c(n, m - 1), or 0 unless m, n are odd; checks no size."""
+    if not m & n & 1:
         return 0
-    return math.prod(bracket(k, p) ** powers.count((k, p)) for k, p in dict.fromkeys(powers))
+    c = bracket(m, n - 1)
+    return c * c if m == n else c * bracket(n, m - 1)
 
 
 def _bracket(side: int, power: int) -> int:
@@ -176,9 +179,10 @@ def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> int:
 
     The double sum over even compositions of n-1 (side a excesses) and of
     m-1 (side b excesses) factorizes exactly into two one-sided sums, each
-    an even_multinomial_sum with unit weights.  They are taken as the
-    binomial form takes its brackets (_odd_count): an odd n-1 or m-1 leaves
-    its index set empty, so the count is 0 and neither sum is made, and
-    K_{m,m}'s two sums are one, made once and squared.
+    an even_multinomial_sum with unit weights, read as the binomial form
+    reads its brackets, by bipartite_brackets: neither sum is made for a
+    count 0 by parity, and K_{m,m}'s two sums are one, made once and squared.
     """
-    return _odd_count(bipartite_powers(m, n), lambda k, p: even_multinomial_sum([1] * k, p))
+    _check_size(m, "m")
+    _check_size(n, "n")
+    return bipartite_brackets(lambda k, p: even_multinomial_sum([1] * k, p), m, n)

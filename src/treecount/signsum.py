@@ -343,7 +343,8 @@ def cosh_power_columns(first: int, power: int | None = None) -> Iterator[list[in
     even p <= power.  Without one, the triangle, column k stops at K_k's count
     c(k, k - 2): an entry at p reads column k - 2 only up to p - 2, so each
     column is one entry longer than the one before, the first empty.  Each
-    odd family's record names the one its table reads (verify.Family.columns).
+    odd family's record names the one its table reads, and its row, which is
+    the closed form's formulas.*_brackets (verify.Family.columns).
     """
     if first not in (0, 1):
         raise ValueError(f"first must be 0 or 1, got {first}")

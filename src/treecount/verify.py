@@ -20,7 +20,9 @@ from .combinatorics import (
     positive_compositions,
 )
 from .formulas import (
+    bipartite_brackets,
     bipartite_powers,
+    complete_brackets,
     complete_powers,
     odd_spanning_trees_bipartite,
     odd_spanning_trees_bipartite_by_sum,
@@ -109,20 +111,20 @@ class VerificationReport(namedtuple("VerificationReport", "cases")):
 
 class Family(
     namedtuple(
-        "Family", "parameters scope odd powers formula oracles columns profile", defaults=(None, None)
+        "Family", "parameters scope powers formula oracles columns profile", defaults=(None, None)
     )
 ):
     """A family of graphs, as count, table, oracle and verify read it.
 
     parameters are the side sizes, summing to the vertex count; scope is the
-    verify scope that sweeps the family; odd says whether it counts odd trees
-    only; powers(*sizes) gives the (side, power) pairs whose product of
-    side**power is the total.  formula and oracles take the sizes as keywords,
-    and look every function up when called: a patched attribute takes effect.
-    columns(stop), None for a total, names what the family's table up to stop
-    reads of the cosh-power recurrence: (first, power), the arguments of
-    signsum.cosh_power_columns, and row(bracket, *sizes), one row's count,
-    which reads each c(k, p) as bracket(k, p).
+    verify scope that sweeps the family; powers(*sizes) gives the (side,
+    power) pairs whose product of side**power is the total.  formula and
+    oracles take the sizes as keywords, and look every function up when
+    called: a patched attribute takes effect.  columns(stop), None for a
+    total, names what an odd family's table up to stop reads of the cosh-power
+    recurrence: (first, power), the arguments of signsum.cosh_power_columns,
+    and row(bracket, *sizes), one row's count, which reads each c(k, p) as
+    bracket(k, p): the closed form's own formulas.*_brackets.
     profile, None for an odd family, is a total's degree profiles:
     (options, formula, kind), the option names of the degree sequences, one
     per side; their closed form, which takes the sequences in side order; and
@@ -161,7 +163,7 @@ class _CaseSpec(namedtuple("_CaseSpec", "family parameters oracle_kind evaluate"
 # every family, in the order of the CLI's family choices
 FAMILIES = {
     "complete": Family(
-        ("n",), scope="complete", odd=False, powers=complete_powers,
+        ("n",), scope="complete", powers=complete_powers,
         formula=lambda n: spanning_trees_complete(n),
         oracles={
             "pruefer-brute": lambda n, predicate=None: count_trees_complete_brute(n, predicate),
@@ -172,7 +174,7 @@ FAMILIES = {
         ),
     ),
     "bipartite": Family(
-        ("m", "n"), scope="bipartite", odd=False, powers=bipartite_powers,
+        ("m", "n"), scope="bipartite", powers=bipartite_powers,
         formula=lambda m, n: spanning_trees_bipartite(m, n),
         oracles={
             # the name matches neither the edge-subset search it once was nor the layered
@@ -187,26 +189,24 @@ FAMILIES = {
         profile=(("a", "b"), lambda a, b: trees_with_degrees_bipartite(a, b), "edge-subset-brute"),
     ),
     "odd-complete": Family(
-        ("n",), scope="complete", odd=True, powers=complete_powers,
+        ("n",), scope="complete", powers=complete_powers,
         formula=lambda n: odd_spanning_trees_complete(n),
         oracles={
             "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
             "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
         },
         # the triangle: column n ends at c(n, n - 2)
-        columns=lambda stop: (0, None, lambda bracket, n: 0 if n % 2 else bracket(n, n - 2)),
+        columns=lambda stop: (0, None, complete_brackets),
     ),
     "odd-bipartite": Family(
-        ("m", "n"), scope="bipartite", odd=True, powers=bipartite_powers,
+        ("m", "n"), scope="bipartite", powers=bipartite_powers,
         formula=lambda m, n: odd_spanning_trees_bipartite(m, n),
         oracles={
             "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n, all_odd),
             "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
         },
         # the grid of odd k <= stop at the even p < stop
-        columns=lambda stop: (1, stop - 1, lambda bracket, m, n: (
-            bracket(m, n - 1) * bracket(n, m - 1) if m & n & 1 else 0
-        )),
+        columns=lambda stop: (1, stop - 1, bipartite_brackets),
     ),
 }
 

@@ -736,6 +736,20 @@ class TestTablePath:
         for sizes in product(range(1, top + 1), repeat=len(record.parameters)):
             assert row(formulas._bracket, *sizes) == record.formula(*sizes), sizes
 
+    @pytest.mark.parametrize("family, top", [("odd-complete", 40), ("odd-bipartite", 18)])
+    def test_every_small_table_reads_its_kernel_rows(self, family, top):
+        # every start offset: the grid keeps its columns from the least power a row reads
+        record = verify.FAMILIES[family]
+        sides = len(record.parameters)
+        kernel = {
+            sizes: count_text(record, sizes) for sizes in product(range(1, top + 1), repeat=sides)
+        }
+        for start in range(1, top + 1):
+            for stop in range(start, top + 1):
+                count = _recurrence_count(record, start, stop, math.inf)
+                for sizes in product(range(start, stop + 1), repeat=sides):
+                    assert count(sizes) == kernel[sizes], (start, stop, sizes)
+
     def test_kernel_path_builds_no_column(self, monkeypatch):
         # tables that take the kernel: deciding so prices the columns and builds none
         tables = [
@@ -1316,7 +1330,7 @@ class TestOracle:
     def test_prints_the_family_brute_oracle(self, capsys, family):
         record = verify.FAMILIES[family]
         (brute,) = [o for kind, o in record.oracles.items() if kind.endswith("-brute")]
-        odd = ["--odd"] if record.odd else []
+        odd = ["--odd"] if record.columns else []
         for sizes in product(range(1, 7), repeat=len(record.parameters)):
             if sum(sizes) > 6:
                 continue

@@ -12,6 +12,8 @@ from treecount import formulas
 from treecount.cli import TERM_FLOOR, _row
 from treecount.combinatorics import positive_compositions
 from treecount.formulas import (
+    bipartite_brackets,
+    complete_brackets,
     odd_spanning_trees_bipartite,
     odd_spanning_trees_bipartite_by_sum,
     odd_spanning_trees_complete,
@@ -275,6 +277,62 @@ class TestOddSpanningTreesBipartiteBySum:
                     assert calls == [(m, n - 1), (n, m - 1)], (m, n)
 
 
+class TestBracketProducts:
+    """complete_brackets and bipartite_brackets: each odd family's one product of brackets."""
+
+    @staticmethod
+    def recording(calls):
+        """A bracket that records each (k, p, value) it returns, each value distinct and > 1."""
+
+        def bracket(k, p):
+            calls.append((k, p, 1000 * k + p + 2))
+            return calls[-1][2]
+
+        return bracket
+
+    def test_complete_reads_one_bracket_at_even_n(self):
+        for n in range(1, 13):
+            calls = []
+            value = complete_brackets(self.recording(calls), n)
+            if n % 2:
+                assert (value, calls) == (0, []), n
+            else:
+                assert calls == [(n, n - 2, value)], n
+
+    def test_bipartite_reads_what_the_count_needs(self):
+        for m, n in product(range(1, 13), repeat=2):
+            calls = []
+            value = bipartite_brackets(self.recording(calls), m, n)
+            read = [(k, p) for k, p, _ in calls]
+            if m % 2 == 0 or n % 2 == 0:
+                assert (value, calls) == (0, []), (m, n)
+            elif m == n:
+                assert read == [(m, m - 1)], (m, n)
+                assert value == calls[0][2] ** 2, (m, n)
+            else:
+                assert read == [(m, n - 1), (n, m - 1)], (m, n)
+                assert value == calls[0][2] * calls[1][2], (m, n)
+
+    def test_each_odd_record_reads_its_closed_forms_product(self):
+        # the table's rows, the closed forms and the composition sums share one product
+        assert FAMILIES["odd-complete"].columns(40)[2] is complete_brackets
+        assert FAMILIES["odd-bipartite"].columns(40)[2] is bipartite_brackets
+
+    @pytest.mark.parametrize(
+        "formula, sizes, message",
+        [
+            (odd_spanning_trees_complete, (0,), "n must be >= 1, got 0"),
+            (odd_spanning_trees_bipartite, (0, 0), "m must be >= 1, got 0"),
+            (odd_spanning_trees_bipartite, (2, -1), "n must be >= 1, got -1"),
+            (odd_spanning_trees_bipartite_by_sum, (-3, 0), "m must be >= 1, got -3"),
+            (odd_spanning_trees_bipartite_by_sum, (3, 0), "n must be >= 1, got 0"),
+        ],
+    )
+    def test_odd_forms_check_sizes_m_first(self, formula, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            formula(*sizes)
+
+
 class TestClosureSums:
     def test_degree_sum_recovers_total_complete(self):
         for n in range(2, 7):
@@ -332,7 +390,7 @@ class TestFamilyDispatch:
     def test_powers_describe_every_family(self):
         # the (side, power) pairs price, zero and sweep each family, so they must be its shape:
         # their product of powers is the total, and each odd count averages those powers
-        totals = {record.scope: record.formula for record in FAMILIES.values() if not record.odd}
+        totals = {r.scope: r.formula for r in FAMILIES.values() if r.columns is None}
         for family, record in FAMILIES.items():
             top = 40 if record.scope == "complete" else 15
             for sizes in product(range(1, top + 1), repeat=len(record.parameters)):
@@ -344,6 +402,6 @@ class TestFamilyDispatch:
                 digits, work = _row(record, sizes)
                 assert (value == 0) == ((digits, work) == (1.0, 1.0)), (family, sizes)
                 assert value == 0 or work >= TERM_FLOOR or work == 0.0, (family, sizes)
-                if value and record.odd:
+                if value and record.columns:
                     averaged = math.prod(binomial_power_sum(k, p) >> k for k, p in powers)
                     assert value == averaged, (family, sizes)

@@ -398,6 +398,10 @@ class TestAllOdd:
 
 
 class TestLabeledGraph:
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex_count must be >= 1, got 0"):
+            LabeledGraph(0, [])
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             LabeledGraph(3, [(1, 1)])

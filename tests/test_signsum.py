@@ -208,6 +208,8 @@ class TestHypercubePowerSum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hypercube_power_sum([], 2)
+        with pytest.raises(ValueError):
+            multinomial_power_sum([], 2)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
