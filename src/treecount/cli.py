@@ -377,8 +377,10 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
 
 
 def _int_list(text: str) -> list[int]:
+    # no number at all is [], for the caller to refuse; an empty item among numbers is a typo
+    parts = text.split(",")
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in parts] if any(parts) else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 

@@ -26,8 +26,8 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     """Return total! / (parts[0]! * parts[1]! * ... ).
 
     The parts must be nonnegative and sum to `total`; anything else raises
-    ValueError.  The degree-constrained counters evaluate their closed
-    forms with it.
+    ValueError.  The degree-constrained counters, which check their degrees
+    themselves, take the same quotient directly; the tests hold them to it.
     """
     if parts and min(parts) < 0:
         raise ValueError("multinomial() parts must be nonnegative")

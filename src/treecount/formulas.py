@@ -18,9 +18,10 @@ sweep composition spaces without tripping on infeasible profiles.
 
 from __future__ import annotations
 
+from math import factorial, prod
 from typing import Callable, Sequence
 
-from .combinatorics import exact_div, multinomial
+from .combinatorics import exact_div
 from .signsum import binomial_power_sum, even_multinomial_sum
 
 DegreeSequence = Sequence[int]
@@ -76,20 +77,22 @@ def trees_with_degrees_complete(degrees: DegreeSequence) -> int:
     Equals (n-2)! / prod((d_i - 1)!) when the degrees sum to 2n-2, and 0
     otherwise (no tree realizes such a profile).  Entries must be positive;
     a single vertex has degree 0 in its one spanning tree, so n = 1 is out
-    of this formula's domain and returns 0.
+    of this formula's domain and returns 0.  These checks are the
+    multinomial's own, so the quotient is taken directly, as one division.
     """
     _check_degrees(degrees, "degrees")
     n = len(degrees)
     if n < 2 or sum(degrees) != 2 * n - 2:
         return 0
-    return multinomial(n - 2, [d - 1 for d in degrees])
+    return factorial(n - 2) // prod([factorial(d - 1) for d in degrees])
 
 
 def trees_with_degrees_bipartite(side_a: DegreeSequence, side_b: DegreeSequence) -> int:
     """Spanning trees of K_{m,n} with prescribed degrees on both sides.
 
     Equals (m-1)!(n-1)! / (prod((a_i - 1)!) * prod((b_j - 1)!)) when each
-    side's degrees sum to m + n - 1, and 0 otherwise.
+    side's degrees sum to m + n - 1, and 0 otherwise: two multinomials, of
+    n-1 and of m-1, taken as one quotient once the sums are checked.
     """
     _check_degrees(side_a, "side_a")
     _check_degrees(side_b, "side_b")
@@ -97,11 +100,8 @@ def trees_with_degrees_bipartite(side_a: DegreeSequence, side_b: DegreeSequence)
     total = m + n - 1
     if sum(side_a) != total or sum(side_b) != total:
         return 0
-    # (m-1)!(n-1)!/(prod(a_i-1)! prod(b_j-1)!) factored into two multinomials:
-    # the shifted a-degrees sum to n-1 and the shifted b-degrees to m-1.
-    return multinomial(n - 1, [a - 1 for a in side_a]) * multinomial(
-        m - 1, [b - 1 for b in side_b]
-    )
+    excesses = prod([factorial(d - 1) for d in (*side_a, *side_b)])
+    return factorial(m - 1) * factorial(n - 1) // excesses
 
 
 def odd_spanning_trees_complete(n: int) -> int:

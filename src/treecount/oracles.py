@@ -15,11 +15,12 @@ Three unrelated oracles, so a bug in one cannot hide in another:
 * the Matrix-Tree determinant of the reduced Laplacian, computed with
   fraction-free (Bareiss) elimination over exact integers.
 
-Both tallies key a profile by its per-side degree tuples (one for K_n, two
-for K_{m,n}), so one step counts either, and all_odd is the one parity
-filter.  No formula from ``treecount.formulas`` is consulted anywhere here,
-and the K_{m,n} enumeration uses no bipartite Prüfer code, which would
-encode the theorem behind the formula it checks.
+Both tallies pack a profile into one int as they build, one field per
+vertex, and key it by its per-side degree tuples (one for K_n, two for
+K_{m,n}), so one step counts either, and all_odd is the one parity filter.
+No formula from ``treecount.formulas`` is consulted anywhere here, and the
+K_{m,n} enumeration uses no bipartite Prüfer code, which would encode the
+theorem behind the formula it checks.
 
 Since no oracle decodes a sequence, the Prüfer decoder and the validated
 ``Tree`` that the tests check these tallies against live with those tests,
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .combinatorics import SizeLimitError
 
 # The desk-scale ceiling: 9**7 (~4.8M) sequences tallied for K_9 in 6,435 merged degree
-# tuples (0.05 s); the 32,000 trees of K_{4,5} or K_{5,4}, the largest bipartite tallies,
+# profiles (0.016 s); the 32,000 trees of K_{4,5} or K_{5,4}, the largest bipartite tallies,
 # in 1,225 profiles (0.006 s), and every m + n <= 9 in 0.012 s, each K_{m,n} with m < n
 # taken from K_{n,m}.  The m + n = 10 splits would add 0.05 s, K_{6,4} (which K_{4,6}
 # reuses) the slowest at 0.014 s (2-core Xeon, Python 3.11).
@@ -97,23 +98,29 @@ def _complete_degree_tally(n: int) -> DegreeTally:
     """Tally of degree profiles over all n**(n-2) Prüfer sequences.
 
     Built by layers over the sequence positions: a layer maps each degree
-    tuple (1 plus the occurrences so far) to the number of sequence prefixes
-    that give it.  Each position adds 1 to each label of every tuple, and
-    equal tuples merge, so the last layer holds one entry per profile (1,716
-    for n = 8) where the sequences number 8**6 = 262,144.
+    profile (1 plus the occurrences so far) to the number of sequence
+    prefixes that give it.  Each position adds 1 to each label of every
+    profile, and equal profiles merge, so the last layer holds one entry per
+    profile (1,716 for n = 8) where the sequences number 8**6 = 262,144.
+    A profile is packed into one integer, a field per vertex wide enough for
+    any degree (at most n - 1), so a position adds its label's unit; the
+    keys are unpacked into degree tuples once, at the end.
     """
     if n == 1:
         return {((0,),): 1}
-    layer = {(1,) * n: 1}
+    width = n.bit_length()
+    unit = [1 << (width * v) for v in range(n)]  # degree 1 at vertex v
+    layer = {sum(unit): 1}
     for _ in range(n - 2):
-        extended: dict[tuple[int, ...], int] = {}
-        while layer:  # popped, so the two layers together hold about one layer's tuples
-            degree, count = layer.popitem()
-            for v in range(n):
-                longer = (*degree[:v], degree[v] + 1, *degree[v + 1 :])
+        extended: dict[int, int] = {}
+        while layer:  # popped, so the two layers together hold about one layer's profiles
+            key, count = layer.popitem()
+            for u in unit:
+                longer = key + u
                 extended[longer] = extended.get(longer, 0) + count
         layer = extended
-    return {(degree,): count for degree, count in layer.items()}
+    shifts, mask = range(0, width * n, width), (1 << width) - 1
+    return {(tuple([key >> s & mask for s in shifts]),): count for key, count in layer.items()}
 
 
 @lru_cache(maxsize=None)

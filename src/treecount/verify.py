@@ -47,6 +47,8 @@ ALL_SCOPES = ("complete", "bipartite", "degrees", "signsum")
 DEFAULT_COMPLETE_MAX = 8
 DEFAULT_BIPARTITE_MAX = 9
 DEFAULT_SEED = 1729
+# one encoder for every record: json.dumps(record, sort_keys=True) builds a new one per call
+_encode_record = json.JSONEncoder(sort_keys=True).encode
 
 
 # The records are collections.namedtuple subclasses, not typing.NamedTuple classes: under
@@ -399,6 +401,4 @@ def render_text(report: VerificationReport) -> str:
 
 
 def render_jsonl(report: VerificationReport) -> str:
-    return "\n".join(
-        json.dumps(case.to_record(), sort_keys=True) for case in report.cases
-    )
+    return "\n".join(_encode_record(case.to_record()) for case in report.cases)

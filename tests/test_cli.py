@@ -1013,9 +1013,11 @@ class TestSignsum:
         assert (code, out) == (1, "8\n0\nmismatch\n")
 
     def test_empty_coeffs_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "signsum", "--coeffs", "", "--power", "2")
-        assert_usage_error(code, out, err)
-        assert "--coeffs must not be empty" in err
+        # a text with no number at all, "," too, is the empty list, refused here
+        for coeffs in ("", ","):
+            code, out, err = run_cli(capsys, "signsum", "--coeffs", coeffs, "--power", "2")
+            assert_usage_error(code, out, err)
+            assert "--coeffs must not be empty" in err
 
     def test_huge_value_prints_in_full(self, capsys):
         # 2 * (3**30000 + 1) is above DECIMAL_SPLIT_BITS, so decimal_string splits it
@@ -1368,6 +1370,25 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["1,,2", ",1", "1,"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("signsum", "--power", "2", "--coeffs"),
+            ("count", "degrees", "--degrees"),
+            ("count", "degrees", "--b", "1,2", "--a"),
+            ("oracle", "matrix-tree", "--bipartite"),
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    def test_empty_item_among_numbers_exits_two(self, capsys, argv, text):
+        # a typo, never read as the numbers around it
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, text])
+        assert exc.value.code == 2
+        message = f"argument {argv[-1]}: expected comma-separated integers, got {text!r}"
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_closed_stdout_exits_141_quietly(self):

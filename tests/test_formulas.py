@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from treecount import formulas
 from treecount.cli import TERM_FLOOR, _row
-from treecount.combinatorics import positive_compositions
+from treecount.combinatorics import multinomial, positive_compositions
 from treecount.formulas import (
     bipartite_brackets,
     complete_brackets,
@@ -123,6 +123,53 @@ class TestTreesWithDegreesBipartite:
             trees_with_degrees_bipartite([2, 0], [1, 1])
         with pytest.raises(ValueError):
             trees_with_degrees_bipartite([], [1])
+
+
+class TestDegreeFormsAgainstMultinomial:
+    """The degree forms take their quotient of factorials directly, past their own
+    checks; each equals the checked multinomials on every profile of K_n, n <= 9, and of
+    K_{m,n}, m + n <= 10: 26,365 profiles."""
+
+    def test_complete_equals_one_multinomial(self):
+        for n in range(2, 10):
+            for degrees in positive_compositions(2 * n - 2, n):
+                reference = multinomial(n - 2, [d - 1 for d in degrees])
+                assert trees_with_degrees_complete(degrees) == reference, degrees
+
+    def test_bipartite_equals_two_multinomials(self):
+        for m, n in [(m, total - m) for total in range(2, 11) for m in range(1, total)]:
+            for side_a, side_b in product(
+                positive_compositions(m + n - 1, m), positive_compositions(m + n - 1, n)
+            ):
+                reference = multinomial(n - 1, [a - 1 for a in side_a]) * multinomial(
+                    m - 1, [b - 1 for b in side_b]
+                )
+                assert trees_with_degrees_bipartite(side_a, side_b) == reference
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: trees_with_degrees_complete([]), "degrees must be nonempty"),
+            (
+                lambda: trees_with_degrees_complete((2, 0, 1, 1)),
+                "degrees entries must be positive, got [2, 0, 1, 1]",
+            ),
+            (lambda: trees_with_degrees_bipartite([], [1]), "side_a must be nonempty"),
+            (lambda: trees_with_degrees_bipartite([1], []), "side_b must be nonempty"),
+            (
+                lambda: trees_with_degrees_bipartite([2, -1], [1, 1]),
+                "side_a entries must be positive, got [2, -1]",
+            ),
+            (
+                lambda: trees_with_degrees_bipartite([1, 1], (0, 3)),
+                "side_b entries must be positive, got [0, 3]",
+            ),
+        ],
+    )
+    def test_bad_degrees_keep_their_messages(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestOddSpanningTreesComplete:

@@ -546,6 +546,19 @@ class TestDegreeTallies:
         tally = oracles._bipartite_degree_tally(m, n)
         assert sum(tally.values()) == matrix_tree_count(LabeledGraph.complete_bipartite(m, n))
 
+    # every profile of positive degrees with the right sums is some tree's, so a tally holds
+    # one key per composition: of 2n - 2 into n parts, and of m + n - 1 into m and into n
+    # parts.  Of the key-level checks, only this one reaches K_9.
+    @pytest.mark.parametrize("n", range(1, oracles.BRUTE_FORCE_LIMIT + 1))
+    def test_complete_holds_one_key_per_realizable_profile(self, n):
+        expected = math.comb(2 * n - 3, n - 1) if n >= 2 else 1
+        assert len(oracles._complete_degree_tally(n)) == expected
+
+    @pytest.mark.parametrize("m, n", TALLY_SPLITS)
+    def test_bipartite_holds_one_key_per_realizable_profile(self, m, n):
+        expected = math.comb(m + n - 2, m - 1) * math.comb(m + n - 2, n - 1)
+        assert len(oracles._bipartite_degree_tally(m, n)) == expected
+
     @pytest.mark.parametrize("n", range(1, oracles.BRUTE_FORCE_LIMIT + 1))
     def test_complete_trees_number_the_matrix_tree_count(self, n):
         tally = oracles._complete_degree_tally(n)
