@@ -221,10 +221,13 @@ def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float, float]:
     k + p*log2(k) bits, one per base, each one multiplication of a weight: an
     upper bound on the bits, as binomial_power_sum raises only the odd primes
     among its weights to the power and pushes the other weights by shifts and
-    short powers, and a pair that repeats, as K_{m,m}'s does, is summed once.
-    A sum at p = 0 is left out, as formulas._bracket returns 1 without
-    summing.  Sizes past the float range measure inf, unless a factor of 0 (a
-    star K_{1,n}) cancels them.
+    short powers.  Every pair is priced, so the price is an upper bound on
+    the sums too: a pair that repeats, as K_{m,m}'s does, is summed once,
+    and the two sums of near odd sides share one source of prime powers
+    (formulas.odd_spanning_trees_bipartite), raising their common primes
+    once.  A sum at p = 0 is left out, as formulas._bracket returns 1
+    without summing.  Sizes past the float range measure inf, unless a
+    factor of 0 (a star K_{1,n}) cancels them.
     """
     powers = record.powers(*sizes)
     if record.columns and any(p % 2 for _, p in powers):
@@ -340,10 +343,12 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     the expansion's empty table is.  Otherwise each pair is one power,
     times a count, of n more bits than its form: an upper bound at an even
     power, where pairs of equal |form| may share one.  The expansion returns
-    0 at once for an odd power; for an even one it builds a binomial table
-    of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits, then
-    makes signsum.product_count(coeffs) passes and convolutions of t terms,
-    each two products of at most a form's bits, the last one-entry product
+    0 at once for an odd power; for an even one it is priced as a binomial
+    table of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits,
+    built whole with three or more nonzero coefficients, and an upper bound
+    with fewer, which build one row of it or none, then as
+    signsum.product_count(coeffs) passes and convolutions of t terms, each
+    two products of at most a form's bits, the last one-entry product
     priced as a full one.
     Counts past the float range price at inf, not an OverflowError; no terms, 0.
     """

@@ -22,7 +22,7 @@ from math import factorial, prod
 from typing import Callable, Sequence
 
 from .combinatorics import exact_div
-from .signsum import binomial_power_sum, even_multinomial_sum
+from .signsum import binomial_power_sum, binomial_power_sum_by, even_multinomial_sum, shared_powers
 
 DegreeSequence = Sequence[int]
 
@@ -141,9 +141,21 @@ def odd_spanning_trees_bipartite(m: int, n: int) -> int:
     one-sided binomial sums, each divided exactly by 2**side.  Whenever m
     or n is even, the other side's power is odd and the count is 0, forced
     by the handshaking parity of the side degree sums: no sum is made.
+
+    When the sides differ by at most a quarter of min(m, n) - 1, both sums
+    raise their common primes through one signsum.shared_powers source
+    based there, made for this count alone.
     """
     _check_size(m, "m")
     _check_size(n, "n")
+    base, gap = min(m, n) - 1, abs(m - n)
+    # Measured, not set: lifting q = 1009 from q**2000 took 0.07 of the time of raising it
+    # afresh at gap 16, 0.33 at 100, 0.88 at 500, 1.12 at 750 and 1.33 at 2000; at gap
+    # base/4, q = 1009 and 3001 from bases 1,000 and 4,342 took 0.89 to 0.98, at base/3
+    # 0.99 to 1.05 (2-core Xeon, Python 3.11.7).
+    if gap and 4 * gap <= base:
+        source = shared_powers(base)
+        return bipartite_brackets(lambda side, power: _bracket(side, power, source), m, n)
     return bipartite_brackets(_bracket, m, n)
 
 
@@ -160,18 +172,21 @@ def bipartite_brackets(bracket: Callable[[int, int], int], m: int, n: int) -> in
     return c * c if m == n else c * bracket(n, m - 1)
 
 
-def _bracket(side: int, power: int) -> int:
+def _bracket(side: int, power: int, source: Callable[[int, int], int] | None = None) -> int:
     """One side's binomial sum over 2**side, checked exact.
 
     The sum over a side's sign vectors is 2**side times a sum of
     multinomials over even compositions (see multinomial_power_sum), so
     the division leaves an integer.  At power 0 the sum is 2**side itself,
     and the quotient 1 is returned without building it: K_{1,n} costs
-    nothing that grows with n.
+    nothing that grows with n.  A source, a signsum.shared_powers based at
+    or below the power, raises the sum's primes.
     """
     if power == 0:
         return 1
-    return exact_div(binomial_power_sum(side, power), 1 << side)
+    if source is None:
+        return exact_div(binomial_power_sum(side, power), 1 << side)
+    return exact_div(binomial_power_sum_by(side, power, source), 1 << side)
 
 
 def odd_spanning_trees_bipartite_by_sum(m: int, n: int) -> int:

@@ -19,7 +19,8 @@ Three evaluation strategies for the same family of quantities:
                            half the range, and each base's weight is
                            pushed down its smallest prime factor, so that
                            only primes are raised to the power and the
-                           pushes by 2 are shifts.
+                           pushes by 2 are shifts; two sums can share
+                           their primes' powers (shared_powers).
 
 All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
@@ -38,13 +39,15 @@ odd spanning-tree counts.  It sums over the even compositions without
 listing them, one cosh series per distinct |weight| raised to its
 multiplicity in one pass of Miller's power recurrence, so its cost grows
 with power**2 per distinct |weight|, not with the number of compositions.
+It builds only the binomial rows it reads: none for one nonzero weight,
+one for two.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .combinatorics import InexactDivisionError
 
@@ -166,15 +169,21 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     ((m+1)*j - k) * C(2k, 2j) * c[k-j], a division that raises
     InexactDivisionError on a remainder.  The last product of the factors
     makes only the entry at power/2.  A pass or a product costs about
-    power**2/8 terms, whatever m is; product_count counts them.
+    power**2/8 terms, whatever m is; product_count counts them.  Only the
+    table rows read are built: all of them for a pass or a product before
+    the last, which take three nonzero weights; row power/2 for the last
+    product of two; none for one factor.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     if power % 2:
         return 0
     half = power // 2
-    choose = []  # choose[j][i] is C(2j, 2i)
-    for top in range(0, power + 1, 2):
+    squares = _squares(weights)
+    nonzero = sum(squares.values())  # three or more read every row, two row half, one none
+    first = 0 if nonzero > 2 else power if nonzero == 2 else power + 2
+    choose = []  # choose[j][i] is C(2j, 2i), for the rows built
+    for top in range(first, power + 1, 2):
         row = [c := 1]
         for k in range(1, top, 2):  # C(top, k + 1) from C(top, k - 1)
             c = c * (top - k + 1) * (top - k) // (k * (k + 1))
@@ -196,7 +205,7 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
         return column
 
     factors = []  # a series per nonzero square, its own powers taken once or twice, or raised
-    for square, times in _squares(weights).items():
+    for square, times in squares.items():
         if times < 3:
             factors += [[square**i for i in range(half + 1)]] * times
         elif square == 1:
@@ -208,7 +217,7 @@ def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
     series = factors.pop()
     while len(factors) > 1:
         series = product(series, factors.pop())
-    return product(series, factors[0], choose[half:])[0] if factors else series[half]
+    return product(series, factors[0], choose[-1:])[0] if factors else series[half]
 
 
 def _squares(weights: CoefficientVector) -> dict[int, int]:
@@ -281,7 +290,16 @@ def binomial_power_sum(n: int, power: int) -> int:
     powers of the smaller primes are kept for the composites whose pushes
     multiply by them, a product of a big weight and a short power.  Each
     weight is dropped once pushed.
+
+    Each prime is raised by pow; binomial_power_sum_by takes the raising
+    as an argument.  This entry keeps the two arguments that
+    perfbench/tracing.py counts terms by.
     """
+    return binomial_power_sum_by(n, power, pow)
+
+
+def binomial_power_sum_by(n: int, power: int, raise_: Callable[[int, int], int]) -> int:
+    """binomial_power_sum(n, power), each odd prime q raised as raise_(q, power) == q**power."""
     if n < 1:
         raise ValueError(f"binomial_power_sum() requires n >= 1, got {n}")
     if power < 0:
@@ -318,13 +336,38 @@ def binomial_power_sum(n: int, power: int) -> int:
         elif q := factor[v]:
             raised = kept.get(q)
             if raised is None:
-                raised = kept[q] = q**power
+                raised = kept[q] = raise_(q, power)
             weight[v // q >> odd] += w * raised
         else:
-            weight[1 >> odd] += w * v**power
+            weight[1 >> odd] += w * raise_(v, power)
         v -= 1 + odd
     # the value 1 is the last base; an even n's sum carries the 2**power taken out of its bases
     return (weight[1 >> odd] + binomial) << (1 if odd else power + 1)
+
+
+def shared_powers(base: int) -> Callable[[int, int], int]:
+    """A raise_ for binomial_power_sum_by: q**power as the kept q**base times q**(power - base).
+
+    At power == base it returns the kept q**base itself.  The two sums of
+    an odd K_{m,n} count raise the same primes at powers n - 1 and m - 1,
+    so one source based at min(m, n) - 1, made per count, raises each once
+    and lifts it by a short power, cheaper than raising afresh only while
+    the lift is short (formulas.odd_spanning_trees_bipartite).
+    """
+    if base < 0:
+        raise ValueError(f"base must be >= 0, got {base}")
+    kept: dict[int, int] = {}
+
+    def raise_(q: int, power: int) -> int:
+        lift = power - base
+        if lift < 0:
+            raise ValueError(f"power must be >= the base {base}, got {power}")
+        raised = kept.get(q)
+        if raised is None:
+            raised = kept[q] = q**base
+        return raised * q**lift if lift else raised
+
+    return raise_
 
 
 def cosh_power_columns(first: int, power: int | None = None) -> Iterator[list[int]]:

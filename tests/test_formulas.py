@@ -287,6 +287,66 @@ class TestOddSpanningTreesBipartite:
         assert peak < 100_000  # 2**20_000_001 alone would take 2.5 MB
 
 
+    def test_shared_powers_match_the_unshared_brackets(self):
+        # every small odd pair, sharing or not, and near pairs at the huge-count sizes
+        pairs = [(m, n) for m in range(1, 62, 2) for n in range(1, 62, 2)]
+        for m, n in pairs + [(2001, 2003), (1993, 2009)]:
+            assert odd_spanning_trees_bipartite(m, n) == bipartite_brackets(
+                formulas._bracket, m, n
+            ), (m, n)
+
+    # (9, 11) is the least pair that shares: 4 * 2 <= 8; (401, 501) is at the bound and
+    # (401, 503) just past it; K_{m,m} squares its one bracket
+    @pytest.mark.parametrize(
+        "m, n, shared",
+        [(9, 11, True), (11, 9, True), (7, 9, False), (401, 501, True), (501, 401, True),
+         (401, 503, False), (9, 9, False)],
+    )
+    def test_sides_share_while_four_gaps_fit_the_base(self, monkeypatch, m, n, shared):
+        bases = []
+        original = formulas.shared_powers
+
+        def recorded(base):
+            bases.append(base)
+            return original(base)
+
+        monkeypatch.setattr(formulas, "shared_powers", recorded)
+        assert odd_spanning_trees_bipartite(m, n) == bipartite_brackets(formulas._bracket, m, n)
+        assert bases == ([min(m, n) - 1] if shared else [])
+
+    def test_each_count_makes_a_fresh_source(self, monkeypatch):
+        sources = []
+        original = formulas.shared_powers
+
+        def recorded(base):
+            sources.append(original(base))
+            return sources[-1]
+
+        monkeypatch.setattr(formulas, "shared_powers", recorded)
+        assert odd_spanning_trees_bipartite(2001, 2003) == odd_spanning_trees_bipartite(2001, 2003)
+        assert len(sources) == 2
+        assert sources[0] is not sources[1]
+
+    def test_both_sums_raise_their_primes_through_one_source(self, monkeypatch):
+        # K_{9,11}: c(9, 10) raises the odd primes up to 9 and c(11, 8) those up to 11, each
+        # once per sum, all through the source based at 8
+        calls = []
+        original = formulas.shared_powers
+
+        def recorded(base):
+            source = original(base)
+
+            def raise_(q, power):
+                calls.append((q, power))
+                return source(q, power)
+
+            return raise_
+
+        monkeypatch.setattr(formulas, "shared_powers", recorded)
+        odd_spanning_trees_bipartite(9, 11)
+        assert sorted(calls) == sorted([(3, 10), (5, 10), (7, 10), (3, 8), (5, 8), (7, 8), (11, 8)])
+
+
 class TestOddSpanningTreesBipartiteBySum:
     def test_examples(self):
         assert odd_spanning_trees_bipartite_by_sum(1, 1) == 1

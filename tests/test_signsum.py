@@ -16,12 +16,14 @@ from treecount.combinatorics import InexactDivisionError
 from treecount.signsum import (
     _form_tally,
     binomial_power_sum,
+    binomial_power_sum_by,
     cosh_power_columns,
     even_multinomial_sum,
     hypercube_power_sum,
     multinomial_power_sum,
     pairing_bounds,
     product_count,
+    shared_powers,
 )
 
 
@@ -338,6 +340,29 @@ class TestEvenMultinomialSum:
                     weights, power
                 ), (weights, power)
 
+    def test_one_or_two_weights_equal_the_reference(self):
+        # one nonzero weight is its own series, two meet in the last product alone: neither
+        # reads more of the binomial table than that product's row
+        weights = [[a] for a in range(-4, 5)] + [[a, b] for a in range(-4, 5) for b in range(-4, 5)]
+        for pair in weights + [[0, 3, 0], [2, 0, -3, 0]]:
+            for power in range(0, 25):
+                assert even_multinomial_sum(pair, power) == per_weight_even_multinomial_sum(
+                    pair, power
+                ), (pair, power)
+
+    @pytest.mark.parametrize("weights, expected", [([1], 1), ([1, 2], (3**2338 + 1) // 2)])
+    def test_one_or_two_weights_build_at_most_one_row(self, weights, expected):
+        # the whole table of C(2j, 2i) up to 2338 takes about 130 MB; one factor reads none
+        # of it, and two the one row of their last product, about 0.2 MB
+        tracemalloc.start()
+        try:
+            value = even_multinomial_sum(weights, 2338)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected  # cosh(x) * cosh(2x) = (cosh(3x) + cosh(x)) / 2
+        assert peak < 1_000_000
+
     def test_every_multiplicity_alone_and_with_other_squares(self):
         # multiplicities 1 and 2 are their powers taken once and twice, 3 and up one pass of
         # the power recurrence each: alone, the pass's column is read at its last entry; after
@@ -434,6 +459,47 @@ class TestBinomialPowerSum:
             binomial_power_sum(0, 2)
         with pytest.raises(ValueError):
             binomial_power_sum(3, -1)
+
+    def test_raising_through_a_shared_source(self):
+        # each size at powers from the source's base up, odd and even n
+        for n in range(1, 62):
+            for base in (0, n // 2, n - 1):
+                source = shared_powers(base)
+                for power in range(base, base + 5):
+                    assert binomial_power_sum_by(n, power, source) == definitional_binomial_sum(
+                        n, power
+                    ), (n, base, power)
+
+    def test_two_sums_share_one_source(self):
+        # K_{m,n}'s sums c(m, n - 1) and c(n, m - 1), in either order, from one source at the
+        # lower power
+        for m, n in ((9, 11), (11, 9), (201, 221), (1993, 2009)):
+            source = shared_powers(min(m, n) - 1)
+            for side, power in ((m, n - 1), (n, m - 1)):
+                assert binomial_power_sum_by(side, power, source) == binomial_power_sum(side, power)
+
+
+class TestSharedPowers:
+    def test_every_power_from_the_base(self):
+        for base in (0, 1, 2, 100):
+            source = shared_powers(base)
+            for q in (3, 1009):
+                for power in range(base, base + 41):
+                    assert source(q, power) == q**power, (base, q, power)
+
+    def test_the_base_power_is_kept(self):
+        source = shared_powers(100)
+        assert source(1009, 116) == 1009**116  # keeps 1009**100 on the way
+        kept = source(1009, 100)
+        assert kept == 1009**100
+        assert source(1009, 100) is kept
+        assert shared_powers(100)(1009, 100) is not kept  # a new source keeps its own
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            shared_powers(-1)
+        with pytest.raises(ValueError):
+            shared_powers(10)(3, 9)
 
 
 def bracket(k, p):
