@@ -69,7 +69,7 @@ MAX_DIGITS = 1_000_000
 # of odd-bipartite's frontier, odd m = 3..20,001, 0.4 to 1.6 s (2-core Xeon, Python
 # 3.11.7).  A million-digit total costs 1.08e11, so totals meet the digit bound first.
 # The largest tables admitted are odd-complete 2..971, odd-bipartite 1..250, bipartite
-# 1..341 and complete 1..3,690.  The odd two, and odd-complete 2..600, which costs 4.8e10,
+# 1..341 and complete 1..3,690.  The odd two, and odd-complete 2..600, which costs 2.4e10,
 # take 0.17, 0.46 and 0.17 s from the cosh-power recurrence, which _recurrence_count prices
 # below their kernel sums, and the other two 4.4 and 3.5 s, in a fresh process (2-core
 # Xeon, Python 3.11.7).  The
@@ -335,21 +335,21 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     both bounds read, so only the work of the modes can refuse it.  Each mode
     that runs is priced by _work, as a count is, with the rendering of its
     value.  A form to the power has at most power*log2(s) bits, one if
-    s <= 1.  Direct mode is priced as it runs (signsum.pairing_bounds): per
-    layer value of its two half tallies one count of n bits, made by
-    additions and so priced as a step, linear in its bits.  An odd power
-    that pairing_bounds folds adds one such step per pair of a left and a
-    right value and raises no nonzero form, as the counts cancel: exact, as
-    the expansion's empty table is.  Otherwise each pair is one power,
-    times a count, of n more bits than its form: an upper bound at an even
-    power, where pairs of equal |form| may share one.  The expansion returns
-    0 at once for an odd power; for an even one it is priced as a binomial
-    table of t = (power/2 + 1)(power/2 + 2)/2 entries of at most power bits,
-    built whole with three or more nonzero coefficients, and an upper bound
-    with fewer, which build one row of it or none, then as
-    signsum.product_count(coeffs) passes and convolutions of t terms, each
-    two products of at most a form's bits, the last one-entry product
-    priced as a full one.
+    s <= 1.  Direct mode is priced by the plan it runs, whose bounds
+    signsum.pairing_bounds states: per layer value of its two half tallies
+    one count of n bits, made by additions and so priced as a step, linear
+    in its bits.  An odd power whose pairs the plan folds adds one such step
+    per pair of a left and a right value and raises no nonzero form, as the
+    counts cancel: exact, as the expansion's empty table is.  Otherwise each
+    pair is one power, times a count, of n more bits than its form: an upper
+    bound at an even power, where pairs of equal |form| may share one.  The
+    expansion returns 0 at once for an odd power; for an even one it is
+    priced as a binomial table of t = (power/2 + 1)(power/2 + 2)/2 entries
+    of at most power bits, built whole with three or more nonzero
+    coefficients, and an upper bound with fewer, which build one row of it
+    or none, then as signsum.product_count(coeffs) passes and convolutions
+    of t terms, each two products of at most a form's bits, the last
+    one-entry product priced as a full one.
     Counts past the float range price at inf, not an OverflowError; no terms, 0.
     """
     if power < 0:
@@ -365,11 +365,11 @@ def _check_signsum_bounds(coeffs: Sequence[int], power: int, mode: str) -> None:
     work = 0.0
     if mode != "multinomial":
         layers, pairs, folds = signsum.pairing_bounds(coeffs)
-        if power % 2 and folds:
-            work += _work([], bits, digits, [(layers + pairs, n, 1)])
+        if power % 2 and folds:  # a step per pair, and no nonzero form raised
+            terms, steps = [], layers + pairs
         else:
-            terms = [(pairs, n + form_bits, power.bit_length() + 1)]
-            work += _work(terms, bits, digits, [(layers, n, 1)])
+            terms, steps = [(pairs, n + form_bits, power.bit_length() + 1)], layers
+        work += _work(terms, bits, digits, [(steps, n, 1)])
     if mode != "direct":
         half = power // 2
         table = 0 if power % 2 else (half + 1) * (half + 2) // 2

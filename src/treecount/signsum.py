@@ -7,8 +7,8 @@ Three evaluation strategies for the same family of quantities:
                            coefficients tallied by layers with equal
                            values merged, then every left value paired
                            with every right one, and the pairs tallied by
-                           |form| while that fits the halves' sizes or
-                           bounds, each raised once; at an odd power a
+                           |form|, each raised once, where its plan
+                           (pairing_bounds) folds them; at an odd power a
                            negative form's count cancels its mirror's,
 * multinomial_power_sum -- the expansion into even-exponent multinomial
                            terms (odd exponents cancel pairwise), summed
@@ -26,7 +26,8 @@ All three agree wherever their domains overlap; the test suite pins that
 down exhaustively at small sizes.  Coefficients are restricted to integers
 so every identity check is bit-exact.  None of the three bounds its own
 size: the CLI prices each query before running it, hypercube_power_sum's
-through pairing_bounds and multinomial_power_sum's through product_count.
+through pairing_bounds, the plan it runs, and multinomial_power_sum's
+through product_count.
 
 cosh_power_columns gives the all-ones sums for many sizes at once: the
 brackets c(k, p) = binomial_power_sum(k, p) / 2**k = p! * [x**p] cosh(x)**k,
@@ -58,9 +59,8 @@ def _form_tally(coeffs: CoefficientVector) -> dict[int, int]:
     """Map each value of a1*y1 + ... + ak*yk to the number of sign vectors y giving it.
 
     Built by layers over the coefficients: each coefficient a moves every
-    value v to v + a and to v - a, and equal values merge.  Every value of
-    k coefficients with s = sum |ai| lies in -s..s and has the parity of s,
-    so they give at most min(2**k, s + 1) values.
+    value v to v + a and to v - a, and equal values merge, so that a layer
+    holds no more values than pairing_bounds allows it.
     """
     layer = {0: 1}
     for a in coeffs:
@@ -78,22 +78,19 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     Splits the coefficients into two halves and tallies each half's sign
     vectors by the value of its partial form (_form_tally).  A left value
     u with count c and a right value v with count d stand for c*d whole
-    sign vectors of form u + v: at most min(2**n, (sL + 1) * (sR + 1))
-    pairs, sL and sR the sums of |ai| over the halves.  That is never more
-    than the 2**n vectors, and the tallies hold at most 2**(n//2) +
-    2**(n - n//2) values even when every vector has a form of its own.
+    sign vectors of form u + v, so the sum is that of c*d*(u + v)**power
+    over the pairs.
 
-    The pairs are tallied by |u + v|, each |form| raised once: at an even
-    power (-x)**power = x**power, and at an odd one a negative form
-    subtracts its count, so mirrored sign vectors cancel in the tally and
-    its 0 is computed, not assumed, with no cancelled |form| raised.  Every
-    form has the parity of s = sL + sR, so there are at most
-    min(pairs, s//2 + 1) |forms|.  The tally is built while that is no
-    larger than the two half tallies or their bounds (pairing_bounds), at
-    most 2**(n//2) + 2**(n - n//2) values; otherwise, as for distinct powers
-    of two, whose 2**n forms all differ, every pair's term is summed.  No
-    binomial or multinomial is used, so this stays an independent check of
-    the other two.  It has no size bound: pairing_bounds bounds its work.
+    pairing_bounds(coeffs) is the plan: it bounds the layers, the pairs
+    and their |forms|, and decides whether the pairs are folded.  Folded,
+    they are tallied by |u + v|, each |form| raised once: at an even power
+    (-x)**power = x**power, and at an odd one a negative form subtracts its
+    count, so mirrored sign vectors cancel in the tally and its 0 is
+    computed, not assumed, with no cancelled |form| raised.  Otherwise, as
+    for distinct powers of two, whose 2**n forms all differ, every pair's
+    term is summed.  No binomial or multinomial is used, so this stays an
+    independent check of the other two.  It has no size bound: the CLI
+    prices it by the same plan.
     """
     n = len(coeffs)
     if n < 1:
@@ -101,8 +98,7 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     left, right = _form_tally(coeffs[: n // 2]).items(), _form_tally(coeffs[n // 2 :]).items()
-    forms = min(len(left) * len(right), sum(map(abs, coeffs)) // 2 + 1)  # bounds the |forms|
-    if forms > len(left) + len(right) and not pairing_bounds(coeffs)[2]:
+    if not pairing_bounds(coeffs)[2]:
         return sum(c * sum(d * (u + v) ** power for v, d in right) for u, c in left)
     tally: dict[int, int] = {}
     if power % 2:  # (-x)**power = -x**power: a negative form subtracts its count
@@ -119,18 +115,20 @@ def hypercube_power_sum(coeffs: CoefficientVector, power: int) -> int:
 
 
 def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int, bool]:
-    """Bounds on the layers and pairs that hypercube_power_sum makes, and whether it folds them.
+    """The plan of hypercube_power_sum: bounds on its layers and pairs, and whether it folds them.
 
     Its two halves, split as it splits them, are tallied by layers
-    (_form_tally): the layer after k coefficients of a half, with s their
-    sum of |ai|, holds at most min(2**k, s + 1) values, as each has the
-    parity of s.  The first bound sums that over both halves' layers, the
-    second multiplies the two halves' last ones, as every left value is
-    paired with every right one.  Those allow at most min(pairs, s//2 + 1)
-    |forms|, s now over all |ai|, and the sum folds its pairs by |form| when
-    that is no larger than the two last layers together.  2**k is only built
-    while it is the smaller, so a list of thousands of coefficients is
-    bounded in as many small steps.
+    (_form_tally).  Every value of k coefficients with s = sum |ai| lies in
+    -s..s and has the parity of s, so the layer after k coefficients of a
+    half holds at most min(2**k, s + 1) values.  The first bound sums that
+    over both halves' layers, the second multiplies the two halves' last
+    ones, as every left value is paired with every right one.  Every form
+    u + v has the parity of s, now over all |ai|, so the pairs have at most
+    min(pairs, s//2 + 1) |forms|, and the sum folds its pairs by |form|
+    exactly when that is no larger than the two last layers together: at
+    most 2**(n//2) + 2**(n - n//2), whatever the coefficients.  2**k is
+    only built while it is the smaller, so a list of thousands of
+    coefficients is bounded in as many small steps.
     """
     n = len(coeffs)
     layers, pairs, last = 0, 1, 0

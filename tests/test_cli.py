@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -706,6 +707,19 @@ class TestTablePath:
         lines = table_lines("odd-bipartite", 1, 250, "csv")
         assert [next(lines) for _ in range(4)] == ["m,n,count", "1,1,1", "1,2,0", "1,3,1"]
         assert built == [125, 125]  # columns 1 and 3, each at the 125 even powers below 250
+
+    def test_late_start_grid_keeps_only_the_columns_its_rows_read(self):
+        # the grid keeps columns k = 591..601 from p = 590 on, about 0.2 MB; whole columns
+        # from k = 1 on would peak near 29 MB
+        assert takes_recurrence("odd-bipartite", 591, 601)
+        tracemalloc.start()
+        try:
+            for _ in table_lines("odd-bipartite", 591, 601, "csv"):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("family, start, stop", [("odd-complete", 2, 120), ("odd-bipartite", 1, 40)])
     def test_table_reads_each_row_once_in_row_order(self, monkeypatch, family, start, stop):

@@ -77,6 +77,16 @@ def per_weight_series(weights, half):
     return series
 
 
+def seeded_vectors():
+    """Seeded coefficient lists of lengths 1..14 with repeats, zeros and negatives."""
+    rng = random.Random(25)
+    vectors = []
+    for n in range(1, 15):
+        vectors += [[rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(n)] for _ in range(3)]
+        vectors += [[0] * n, [1] * n, [-2] * n, [rng.randint(-9, 9) for _ in range(n)]]
+    return vectors
+
+
 coeff_vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=8)
 
 
@@ -133,14 +143,20 @@ class TestHypercubePowerSum:
             assert hypercube_power_sum([1] * n, n) == binomial_power_sum(n, n)
 
     def test_equals_paired_reference(self):
-        # seeded vectors with repeats, zeros and negatives; an even power folds them by |form|
-        # wherever that tally's bound is no larger than the half tallies
-        rng = random.Random(25)
-        vectors = []
-        for n in range(1, 15):
-            vectors += [[rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(n)] for _ in range(3)]
-            vectors += [[0] * n, [1] * n, [-2] * n, [rng.randint(-9, 9) for _ in range(n)]]
-        for coeffs in vectors:
+        # seeded vectors with repeats, zeros and negatives, folded by |form| where the plan
+        # folds them
+        for coeffs in seeded_vectors():
+            for power in range(0, 14):
+                assert hypercube_power_sum(coeffs, power) == paired_hypercube_power_sum(
+                    coeffs, power
+                ), (coeffs, power)
+
+    @pytest.mark.parametrize("folds", [True, False])
+    def test_both_paths_on_every_vector(self, monkeypatch, folds):
+        # the plan forced either way: the fold loops and the pair path each give every sum
+        bounds = signsum.pairing_bounds
+        monkeypatch.setattr(signsum, "pairing_bounds", lambda coeffs: (*bounds(coeffs)[:2], folds))
+        for coeffs in seeded_vectors():
             for power in range(0, 14):
                 assert hypercube_power_sum(coeffs, power) == paired_hypercube_power_sum(
                     coeffs, power
@@ -149,18 +165,18 @@ class TestHypercubePowerSum:
     @pytest.mark.parametrize(
         "coeffs",
         [
-            # (half tally sizes, the bound min(pairs, s//2 + 1) on the |forms|): folded while
-            # the bound is at most the sum of the two sizes
+            # (the plan's two last-layer bounds, its bound min(pairs, s//2 + 1) on the |forms|):
+            # folded when the |form| bound is at most the two last-layer bounds together
             [1, 2, 4, 8, 16, 32, 64, 128],  # (16, 16, 128), 2**8 distinct forms: paired
             [1, 2, 4, 8, 16, 32, 64, 127],  # (16, 16, 128), some forms equal: paired
             [5, 7, 11, 13, 17, 19],  # (8, 8, 37): paired
-            [1, 1, 10],  # (2, 4, 7), one above the sizes: paired
-            [1, 1, 8],  # (2, 4, 6), equal to the sizes: folded
+            [1, 1, 10],  # (2, 4, 7), one above the last layers: paired
+            [1, 1, 8],  # (2, 4, 6), equal to the last layers: folded
             [5, 7, 1, 1, 1, 1],  # (8, 4, 9): folded
-            [1] * 9 + [2] * 9,  # (10, 10, 14): folded
+            [1] * 9 + [2] * 9,  # (10, 19, 14): folded, the right half built with 10 values
             [3],  # (1, 2, 2), the left half empty: folded
             [10**400, 1],  # (2, 2, 4), the pairs bound the |forms|, s does not: folded
-            [4] * 6,  # (4, 4, 13): folded by the halves' bounds, not by their built sizes
+            [4] * 6,  # (8, 8, 13): folded, the halves built with 4 values each
         ],
     )
     @pytest.mark.parametrize("power", [0, 1, 2, 7, 30, 31])
