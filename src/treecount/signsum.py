@@ -131,7 +131,7 @@ def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int, bool]:
     coefficients is bounded in as many small steps.
     """
     n = len(coeffs)
-    layers, pairs, last = 0, 1, 0
+    layers, pairs, last, total = 0, 1, 0, 0
     for half in (coeffs[: n // 2], coeffs[n // 2 :]):
         values, s = 1, 0
         for k, a in enumerate(half, 1):
@@ -140,7 +140,8 @@ def pairing_bounds(coeffs: CoefficientVector) -> tuple[int, int, bool]:
             layers += values
         pairs *= values
         last += values
-    return layers, pairs, min(pairs, sum(map(abs, coeffs)) // 2 + 1) <= last
+        total += s
+    return layers, pairs, min(pairs, total // 2 + 1) <= last
 
 
 def even_multinomial_sum(weights: CoefficientVector, power: int) -> int:
