@@ -9,7 +9,7 @@ early, as `| head` does.  Values go to stdout, one per line, as exact
 decimal strings of any length; diagnostics go to stderr.
 
 count, table and oracle take their families, sizes, closed forms and
-oracles from verify.FAMILIES, which verify sweeps.  count degrees and the
+oracles from families.FAMILIES, which verify sweeps.  count degrees and the
 oracle of a total read the degree options, the closed form and the
 brute-force oracle that the total's record names as its profile.
 
@@ -39,20 +39,25 @@ record's row, formulas.*_brackets, or from count_text.  A one-row table at a
 count frontier, whose columns would still start at k = 0 or 1, takes the
 kernel, as every count does.  A column is built when a row first reads it,
 so `| head` stops an odd-bipartite table within its first row with an odd m.
+
+A query loads what it runs: verify loads the sweep and the oracles, oracle
+the oracles, and a jsonl table json; a count, a csv table and a sign sum
+load none of them.  main lifts the interpreter's int/str digit limit for
+its parse and its run, and puts the caller's limit back; decimal_string
+renders past any limit, so a library call needs no lift.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
-from . import oracles, signsum, verify
+from . import families, signsum
 from .combinatorics import SizeLimitError
 
 # Dense Bareiss elimination is cubic in the vertex count: K_100 takes about 0.25 s.
@@ -111,6 +116,12 @@ STEP_WORK = 60
 # raised in decimal is cheaper still.
 DECIMAL_SPLIT_BITS = 40_000
 
+# The interpreter's int/str digit limit, 0 for none (Python 3.11 on, and 3.10 from 3.10.7):
+# str(int) refuses a value of more digits.  main lifts it for its run, and decimal_string
+# renders past it.  An interpreter without the limit reads 0, from int().
+_get_str_digits = getattr(sys, "get_int_max_str_digits", int)
+_set_str_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 def _exact_context():
     """A local decimal context that holds every digit: a rounded digit raises, never prints."""
@@ -130,9 +141,13 @@ def decimal_string(value: int) -> str:
     decimal arithmetic, whose multiplication is subquadratic.  This is the
     int_to_decimal_string algorithm of CPython 3.12's Lib/_pylong.py.  Odd
     counts, degree counts and sign sums are converted here; a family's total
-    is raised in decimal arithmetic from the start (count_text).
+    is raised in decimal arithmetic from the start (count_text).  A value
+    that may have more digits than the interpreter's int/str digit limit
+    goes through decimal too, which the limit does not bind, so a caller
+    need not lift it.
     """
-    if value.bit_length() < DECIMAL_SPLIT_BITS:
+    bits, limit = value.bit_length(), _get_str_digits()
+    if bits < DECIMAL_SPLIT_BITS and (not limit or bits * math.log10(2) <= limit):
         return str(value)
     import decimal
 
@@ -152,7 +167,7 @@ def decimal_string(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def count_text(record: verify.Family, sizes: Sequence[int]) -> str:
+def count_text(record: families.Family, sizes: Sequence[int]) -> str:
     """The decimal text of the family's count at `sizes`, as str(record.formula(*sizes)).
 
     A total of DECIMAL_SPLIT_BITS bits or more, sum p*log2(k) over its
@@ -209,7 +224,7 @@ def _work(
         return math.inf
 
 
-def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float, float]:
+def _row(record: families.Family, sizes: Sequence[int]) -> tuple[float, float]:
     """The digits of the row's count at `sizes`, bounded by the family's total, and its work.
 
     The total is the product of the family's powers k**p.  An odd count, which
@@ -242,7 +257,7 @@ def _row(record: verify.Family, sizes: Sequence[int]) -> tuple[float, float]:
     return digits, _work(terms, bits, digits)
 
 
-def _check_bounds(record: verify.Family, first: Sequence[int], last: Sequence[int]) -> float:
+def _check_bounds(record: families.Family, first: Sequence[int], last: Sequence[int]) -> float:
     """Reject a family's counts from sizes `first` to `last` above MAX_DIGITS digits or MAX_WORK.
 
     The counts are those of every size tuple between the two, one row each, so
@@ -275,7 +290,7 @@ def _check_bounds(record: verify.Family, first: Sequence[int], last: Sequence[in
 
 
 def _recurrence_count(
-    record: verify.Family, start: int, stop: int, work: float
+    record: families.Family, start: int, stop: int, work: float
 ) -> Callable[[Sequence[int]], str] | None:
     """A table's count of a row from signsum.cosh_power_columns; None if that costs `work` or more.
 
@@ -420,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="print one exact count")
     count.add_argument(
         "family",
-        choices=(*verify.FAMILIES, "degrees"),
+        choices=(*families.FAMILIES, "degrees"),
     )
     count.add_argument("--n", type=int)
     count.add_argument("--m", type=int)
@@ -431,16 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="sweep formulas against oracles")
     ver.add_argument(
         "--scope",
-        default=",".join(verify.ALL_SCOPES),
-        help=f"comma-separated subset of {','.join(verify.ALL_SCOPES)}",
+        default=",".join(families.ALL_SCOPES),
+        help=f"comma-separated subset of {','.join(families.ALL_SCOPES)}",
     )
-    ver.add_argument("--complete-max", type=int, default=verify.DEFAULT_COMPLETE_MAX)
-    ver.add_argument("--bipartite-max", type=int, default=verify.DEFAULT_BIPARTITE_MAX)
-    ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    ver.add_argument("--complete-max", type=int, default=families.DEFAULT_COMPLETE_MAX)
+    ver.add_argument("--bipartite-max", type=int, default=families.DEFAULT_BIPARTITE_MAX)
+    ver.add_argument("--seed", type=int, default=families.DEFAULT_SEED)
     ver.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     table = sub.add_parser("table", help="emit a table of counts")
-    table.add_argument("--family", choices=tuple(verify.FAMILIES), required=True)
+    table.add_argument("--family", choices=tuple(families.FAMILIES), required=True)
     table.add_argument("--from", dest="start", type=int, required=True)
     table.add_argument("--to", dest="stop", type=int, required=True)
     table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -451,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--mode", choices=("direct", "multinomial", "both"), default="both")
 
     oracle = sub.add_parser("oracle", help="run a brute-force oracle directly")
-    totals = (family for family, record in verify.FAMILIES.items() if record.profile)
+    totals = (family for family, record in families.FAMILIES.items() if record.profile)
     oracle.add_argument("kind", choices=(*totals, "matrix-tree"))
     oracle.add_argument("--n", type=int)
     oracle.add_argument("--m", type=int)
@@ -487,14 +502,14 @@ def _read(args, query: str, names: Sequence[str]) -> list:
 
 
 def _run_count(args) -> int:
-    if args.family in verify.FAMILIES:
-        record = verify.FAMILIES[args.family]
+    if args.family in families.FAMILIES:
+        record = families.FAMILIES[args.family]
         sizes = _read(args, f"count {args.family}", record.parameters)
         _check_bounds(record, sizes, sizes)
         print(count_text(record, sizes))
         return 0
     # the first total, in table order, one of whose degree options is given
-    for options, formula, _ in (r.profile for r in verify.FAMILIES.values() if r.profile):
+    for options, formula, _ in (r.profile for r in families.FAMILIES.values() if r.profile):
         if any(getattr(args, name) is not None for name in options):
             query = " ".join(["count degrees", *(f"--{name}" for name in options)])
             print(decimal_string(formula(*_read(args, query, options))))
@@ -505,6 +520,8 @@ def _run_count(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from . import verify  # here, not at the top: only a sweep loads it and the oracles
+
     scopes = tuple(s for s in args.scope.split(",") if s)
     report = verify.run_verification(
         scopes=scopes,
@@ -534,12 +551,14 @@ def table_lines(family: str, start: int, stop: int, fmt: str) -> Iterator[str]:
     """A family's table over [start, stop] as csv or jsonl lines, computed one by one."""
     if start < 1 or start > stop:
         raise ValueError(f"range must satisfy 1 <= from <= to, got {start}..{stop}")
-    record = verify.FAMILIES[family]
+    record = families.FAMILIES[family]
     sides = len(record.parameters)
     work = _check_bounds(record, [start] * sides, [stop] * sides)
     count = _recurrence_count(record, start, stop, work) or functools.partial(count_text, record)
     if fmt == "csv":
         yield ",".join((*record.parameters, "count"))
+    else:
+        import json  # here, not at the top: a csv table never needs it
     for sizes in product(range(start, stop + 1), repeat=sides):
         text = count(sizes)
         if fmt == "jsonl":
@@ -571,10 +590,12 @@ def _run_signsum(args) -> int:
 
 
 def _run_oracle(args) -> int:
+    from . import oracles  # here, not at the top: a count never runs an oracle
+
     if args.kind == "matrix-tree":
         print(oracles.matrix_tree_count(_graph(args)))
         return 0
-    record = verify.FAMILIES[args.kind]
+    record = families.FAMILIES[args.kind]
     options, _, kind = record.profile
     # at most one filter: --odd, or the degree profile of the graph
     has_profile = any(getattr(args, name) is not None for name in options)
@@ -592,17 +613,20 @@ def _run_oracle(args) -> int:
     return 0
 
 
-# matrix-tree graph source -> (the options it reads, its vertex count, graph builder)
+# matrix-tree graph source -> (the options it reads, its vertex count, graph builder), the
+# builder given oracles.LabeledGraph and the option values
 _GRAPH_SOURCES = {
-    "complete": (("complete",), lambda n: n, oracles.LabeledGraph.complete),
-    "bipartite": (("bipartite",), sum, lambda s: oracles.LabeledGraph.complete_bipartite(*s)),
-    "path": (("path",), lambda n: n, oracles.LabeledGraph.path),
-    "cycle": (("cycle",), lambda n: n, oracles.LabeledGraph.cycle),
-    "edges": (("edges", "vertices"), lambda _, n: n, lambda e, n: oracles.LabeledGraph(n, e)),
+    "complete": (("complete",), lambda n: n, lambda graph, n: graph.complete(n)),
+    "bipartite": (("bipartite",), sum, lambda graph, s: graph.complete_bipartite(*s)),
+    "path": (("path",), lambda n: n, lambda graph, n: graph.path(n)),
+    "cycle": (("cycle",), lambda n: n, lambda graph, n: graph.cycle(n)),
+    "edges": (("edges", "vertices"), lambda _, n: n, lambda graph, e, n: graph(n, e)),
 }
 
 
 def _graph(args) -> oracles.LabeledGraph:
+    from . import oracles
+
     sources = [source for source in _GRAPH_SOURCES if getattr(args, source) is not None]
     if len(sources) != 1:
         raise ValueError(
@@ -614,7 +638,7 @@ def _graph(args) -> oracles.LabeledGraph:
     vertices = vertex_count(*values)
     if vertices > MATRIX_TREE_LIMIT:  # checked before any edge is generated
         raise SizeLimitError(f"matrix-tree is bounded at {MATRIX_TREE_LIMIT} vertices, got {vertices}")
-    return build(*values)
+    return build(oracles.LabeledGraph, *values)
 
 
 _HANDLERS = {
@@ -627,22 +651,25 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.11
-        sys.set_int_max_str_digits(0)  # counts print in full, however long
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    limit = _get_str_digits()
+    _set_str_digits(0)  # options parse, and counts print, in full however long
     try:
-        return _HANDLERS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
-        # Send the rest, and the flush at exit, to nowhere instead of failing again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, the status of a pipeline writer cut short
-    except Exception as exc:  # a bug, never a mismatch (1) or bad usage (2)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return _HANDLERS[args.command](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+            # Send the rest, and the flush at exit, to nowhere instead of failing again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141  # 128 + SIGPIPE, the status of a pipeline writer cut short
+        except Exception as exc:  # a bug, never a mismatch (1) or bad usage (2)
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
+    finally:
+        _set_str_digits(limit)  # the caller's limit, as main found it
 
 
 def entry() -> None:

@@ -19,41 +19,22 @@ from .combinatorics import (
     even_compositions,
     positive_compositions,
 )
-from .formulas import (
-    bipartite_brackets,
-    bipartite_powers,
-    complete_brackets,
-    complete_powers,
-    odd_spanning_trees_bipartite,
-    odd_spanning_trees_bipartite_by_sum,
-    odd_spanning_trees_complete,
-    odd_spanning_trees_complete_by_sum,
-    spanning_trees_bipartite,
-    spanning_trees_complete,
-    trees_with_degrees_bipartite,
-    trees_with_degrees_complete,
+from .families import (
+    ALL_SCOPES,
+    DEFAULT_BIPARTITE_MAX,
+    DEFAULT_COMPLETE_MAX,
+    DEFAULT_SEED,
+    FAMILIES,
 )
-from .oracles import (
-    BRUTE_FORCE_LIMIT,
-    LabeledGraph,
-    all_odd,
-    count_trees_bipartite_brute,
-    count_trees_complete_brute,
-    matrix_tree_count,
-)
+from .formulas import odd_spanning_trees_complete, trees_with_degrees_complete
+from .oracles import BRUTE_FORCE_LIMIT
 from .signsum import hypercube_power_sum, multinomial_power_sum
 
-ALL_SCOPES = ("complete", "bipartite", "degrees", "signsum")
-DEFAULT_COMPLETE_MAX = 8
-DEFAULT_BIPARTITE_MAX = 9
-DEFAULT_SEED = 1729
 # one encoder for every record: json.dumps(record, sort_keys=True) builds a new one per call
 _encode_record = json.JSONEncoder(sort_keys=True).encode
 
 
-# The records are collections.namedtuple subclasses, not typing.NamedTuple classes: under
-# postponed annotations, creating a NamedTuple compiles each field's annotation string into
-# a ForwardRef, and every CLI start would pay for that.
+# The records are collections.namedtuple subclasses, for the reason families.Family gives.
 
 
 class VerificationCase(
@@ -111,32 +92,6 @@ class VerificationReport(namedtuple("VerificationReport", "cases")):
         return all(c.match for c in self.cases)
 
 
-class Family(
-    namedtuple(
-        "Family", "parameters scope powers formula oracles columns profile", defaults=(None, None)
-    )
-):
-    """A family of graphs, as count, table, oracle and verify read it.
-
-    parameters are the side sizes, summing to the vertex count; scope is the
-    verify scope that sweeps the family; powers(*sizes) gives the (side,
-    power) pairs whose product of side**power is the total.  formula and
-    oracles take the sizes as keywords, and look every function up when
-    called: a patched attribute takes effect.  columns(stop), None for a
-    total, names what an odd family's table up to stop reads of the cosh-power
-    recurrence: (first, power), the arguments of signsum.cosh_power_columns,
-    and row(bracket, *sizes), one row's count, which reads each c(k, p) as
-    bracket(k, p): the closed form's own formulas.*_brackets.
-    profile, None for an odd family, is a total's degree profiles:
-    (options, formula, kind), the option names of the degree sequences, one
-    per side; their closed form, which takes the sequences in side order; and
-    the kind of the oracle that counts the trees of one profile, given the
-    sizes and a predicate on the per-side degree tuples.
-    """
-
-    __slots__ = ()
-
-
 class _CaseSpec(namedtuple("_CaseSpec", "family parameters oracle_kind evaluate")):
     """A case not yet run: evaluate() returns its (formula_value, oracle_value)."""
 
@@ -160,57 +115,6 @@ class _CaseSpec(namedtuple("_CaseSpec", "family parameters oracle_kind evaluate"
             elapsed,
             error,
         )
-
-
-# every family, in the order of the CLI's family choices
-FAMILIES = {
-    "complete": Family(
-        ("n",), scope="complete", powers=complete_powers,
-        formula=lambda n: spanning_trees_complete(n),
-        oracles={
-            "pruefer-brute": lambda n, predicate=None: count_trees_complete_brute(n, predicate),
-            "matrix-tree": lambda n: matrix_tree_count(LabeledGraph.complete(n)),
-        },
-        profile=(
-            ("degrees",), lambda degrees: trees_with_degrees_complete(degrees), "pruefer-brute"
-        ),
-    ),
-    "bipartite": Family(
-        ("m", "n"), scope="bipartite", powers=bipartite_powers,
-        formula=lambda m, n: spanning_trees_bipartite(m, n),
-        oracles={
-            # the name matches neither the edge-subset search it once was nor the layered
-            # tally it is now, and is kept because the pinned verify report carries it
-            "edge-subset-brute": lambda m, n, predicate=None: count_trees_bipartite_brute(
-                m, n, predicate
-            ),
-            "matrix-tree": lambda m, n: matrix_tree_count(
-                LabeledGraph.complete_bipartite(m, n)
-            ),
-        },
-        profile=(("a", "b"), lambda a, b: trees_with_degrees_bipartite(a, b), "edge-subset-brute"),
-    ),
-    "odd-complete": Family(
-        ("n",), scope="complete", powers=complete_powers,
-        formula=lambda n: odd_spanning_trees_complete(n),
-        oracles={
-            "pruefer-brute": lambda n: count_trees_complete_brute(n, all_odd),
-            "composition-sum": lambda n: odd_spanning_trees_complete_by_sum(n),
-        },
-        # the triangle: column n ends at c(n, n - 2)
-        columns=lambda stop: (0, None, complete_brackets),
-    ),
-    "odd-bipartite": Family(
-        ("m", "n"), scope="bipartite", powers=bipartite_powers,
-        formula=lambda m, n: odd_spanning_trees_bipartite(m, n),
-        oracles={
-            "edge-subset-brute": lambda m, n: count_trees_bipartite_brute(m, n, all_odd),
-            "composition-sum": lambda m, n: odd_spanning_trees_bipartite_by_sum(m, n),
-        },
-        # the grid of odd k <= stop at the even p < stop
-        columns=lambda stop: (1, stop - 1, bipartite_brackets),
-    ),
-}
 
 
 def _sizes(count: int, vertices: int) -> list[tuple[int, ...]]:

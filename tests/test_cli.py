@@ -155,31 +155,14 @@ class TestCount:
         assert "e" not in out.lower()
 
 
-@pytest.fixture
-def int_str_limit():
-    """Put back the interpreter's int/str digit limit, which main lifts."""
-    get = getattr(sys, "get_int_max_str_digits", None)
-    limit = get() if get else None
-    yield
-    if get:
-        sys.set_int_max_str_digits(limit)
-
-
-@pytest.fixture
-def unlimited_str(int_str_limit):
-    """Lift the digit limit for the reference str() of huge values."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
 class TestHugeCounts:
-    def test_count_beyond_4300_digits_prints_in_full(self, capsys, int_str_limit):
+    def test_count_beyond_4300_digits_prints_in_full(self, capsys, unlimited_str):
         code, out, err = run_cli(capsys, "count", "complete", "--n", "2000")
         assert (code, err) == (0, "")
         assert len(out) == 6596 + 1
         assert out == f"{2000 ** 1998}\n"
 
-    def test_table_beyond_4300_digits_prints_in_full(self, capsys, int_str_limit):
+    def test_table_beyond_4300_digits_prints_in_full(self, capsys, unlimited_str):
         code, out, err = run_cli(
             capsys, "table", "--family", "complete", "--from", "1900", "--to", "1901"
         )
@@ -187,10 +170,104 @@ class TestHugeCounts:
         assert out == f"n,count\n1900,{1900 ** 1898}\n1901,{1901 ** 1899}\n"
 
 
-    def test_count_at_the_huge_counts_size_matches_str(self, capsys, int_str_limit):
+    def test_count_at_the_huge_counts_size_matches_str(self, capsys, unlimited_str):
         code, out, err = run_cli(capsys, "count", "complete", "--n", "50000")
         assert (code, err) == (0, "")
         assert out == f"{50000 ** 49998}\n"
+
+
+@pytest.fixture
+def default_str_limit():
+    """The interpreter's default int/str digit limit for the test; the limit found put back."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.11, or 3.10.7")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def unlimited(convert, value):
+    """convert(value), str or int, with the digit limit lifted for the call alone."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.usefixtures("default_str_limit")
+class TestDigitLimit:
+    """Library calls render counts of 4,301 to 40,000 digits under the default digit limit, and
+    main leaves the caller's limit as it found it."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            10**4300,
+            -(10**4300) - 7,
+            2**14285 - 1,
+            2**(DECIMAL_SPLIT_BITS - 1) - 1,  # below the split
+            7**47000 + 1,  # split in decimal
+            10**39999,
+        ],
+        ids=["10**4300", "-10**4300-7", "2**14285-1", "2**39999-1", "7**47000+1", "10**39999"],
+    )
+    def test_decimal_string(self, value):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(value)
+        assert decimal_string(value) == unlimited(str, value)
+
+    def test_decimal_string_at_the_limit(self, default_str_limit):
+        # 4,300 digits each: 14,284 bits, which str renders, and 14,285, which may pass the limit
+        for value in (10**default_str_limit - 1, 2**14284):
+            assert decimal_string(value) == str(value)
+
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [("complete", (2000,)), ("odd-complete", (2000,)), ("bipartite", (1181, 1181)),
+         ("odd-bipartite", (1181, 1181)), ("complete", (10000,))],
+    )
+    def test_count_text(self, family, sizes):
+        record = verify.FAMILIES[family]
+        text = count_text(record, sizes)
+        assert 4300 < len(text) <= 40_000
+        assert text == unlimited(str, record.formula(*sizes))
+
+    def test_table_lines(self, capsys):
+        rows = list(table_lines("odd-bipartite", 1171, 1181, "csv"))
+        assert max(len(row.split(",")[2]) for row in rows[1:]) > 4300
+        last = formulas.odd_spanning_trees_bipartite(1181, 1181)
+        assert rows[-1] == f"1181,1181,{unlimited(str, last)}"
+        code, out, err = run_cli(
+            capsys, "table", "--family", "odd-bipartite", "--from", "1171", "--to", "1181"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == rows
+
+    def test_main_puts_the_callers_limit_back(self, capsys):
+        queries = [
+            (["count", "complete", "--n", "2000"], 0, unlimited(str, 2000**1998) + "\n"),
+            (["count", "complete", "--n", "0"], 2, ""),
+            # an option of 4,401 digits: main lifts the limit before it parses
+            (
+                ["signsum", "--coeffs", "9", "--power", unlimited(str, 10**4400 + 1)],
+                0,
+                "0\n0\nmatch\n",
+            ),
+        ]
+        for limit in (sys.get_int_max_str_digits(), 5000):
+            sys.set_int_max_str_digits(limit)
+            for argv, code, out in queries:
+                assert (main(argv), capsys.readouterr().out) == (code, out)
+                assert sys.get_int_max_str_digits() == limit
+
+    def test_main_puts_the_limit_back_when_argparse_exits(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit):
+            main(["count", "no-such-family"])
+        assert sys.get_int_max_str_digits() == limit
 
 
 # the sizes whose totals come first to DECIMAL_SPLIT_BITS bits, sum p*log2(k) over their powers
@@ -837,7 +914,7 @@ class TestVerifyCommand:
         )
 
     def test_mismatch_exits_nonzero(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "spanning_trees_complete", lambda n: 7)
+        monkeypatch.setattr(formulas, "spanning_trees_complete", lambda n: 7)
         code, out, _ = run_cli(
             capsys, "verify", "--scope", "complete", "--complete-max", "3"
         )
@@ -848,7 +925,7 @@ class TestVerifyCommand:
         def broken(n):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(verify, "odd_spanning_trees_complete", broken)
+        monkeypatch.setattr(formulas, "odd_spanning_trees_complete", broken)
         code, out, err = run_cli(
             capsys, "verify", "--scope", "complete", "--complete-max", "3"
         )
@@ -864,8 +941,8 @@ class TestVerifyCommand:
         def broken(n):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(verify, "odd_spanning_trees_complete", broken)
-        monkeypatch.setattr(verify, "spanning_trees_complete", lambda n: 7)
+        monkeypatch.setattr(formulas, "odd_spanning_trees_complete", broken)
+        monkeypatch.setattr(formulas, "spanning_trees_complete", lambda n: 7)
         code, out, err = run_cli(
             capsys, "verify", "--scope", "complete", "--complete-max", "3", "--format", "jsonl"
         )
@@ -960,9 +1037,9 @@ class TestTable:
         # complete 1..3,690 takes seconds whole: each row must be computed only as it
         # prints, so a reader gone after two lines stops the table at its second row
         rows = []
-        formula = verify.spanning_trees_complete
+        formula = formulas.spanning_trees_complete
         monkeypatch.setattr(
-            verify, "spanning_trees_complete", lambda n: rows.append(n) or formula(n)
+            formulas, "spanning_trees_complete", lambda n: rows.append(n) or formula(n)
         )
         with open(tmp_path / "stdout", "w") as sink:
 
@@ -1033,7 +1110,7 @@ class TestSignsum:
             assert_usage_error(code, out, err)
             assert "--coeffs must not be empty" in err
 
-    def test_huge_value_prints_in_full(self, capsys):
+    def test_huge_value_prints_in_full(self, capsys, unlimited_str):
         # 2 * (3**30000 + 1) is above DECIMAL_SPLIT_BITS, so decimal_string splits it
         value = 2 * (3**30000 + 1)
         assert value.bit_length() > DECIMAL_SPLIT_BITS

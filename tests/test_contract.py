@@ -152,7 +152,7 @@ def check_output(argv, out):
             assert re.fullmatch(r"summary: total=(\d+) passed=\1 failed=0", lines[-1])
 
 
-def test_every_query_exits_zero_or_two(monkeypatch):
+def test_every_query_exits_zero_or_two(monkeypatch, unlimited_str):
     monkeypatch.setattr(cli, "MAX_WORK", LOW_WORK)
     rng = random.Random(SEED)
     parser = build_parser()

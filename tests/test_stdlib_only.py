@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library at run time, the
 oracles import nothing from the closed forms they check, and the CLI loads
-only what it runs."""
+only what it runs: importing it loads no sweep, no oracle and no json, nor
+does a count, a csv table or a sign sum, and an oracle query loads no sweep."""
 
 import ast
 import subprocess
@@ -44,14 +45,46 @@ def test_oracles_import_no_package_module_but_combinatorics():
     assert relative <= {"combinatorics"}
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def loaded_by(statement):
+    """The modules that `statement` adds to sys.modules in a fresh interpreter."""
     script = (
-        "import sys; bare = set(sys.modules); import treecount.cli;"
-        " print(*sorted(set(sys.modules) - bare))"
+        f"import sys; bare = set(sys.modules); {statement};"
+        " print(*sorted(set(sys.modules) - bare), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=30
     )
-    added = set(proc.stdout.split())
+    return set(proc.stderr.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    added = loaded_by("import treecount.cli")
     assert "treecount.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "dis", "tokenize"}), sorted(added)
+
+
+# what a query that runs no sweep, no oracle and no JSON output must not load
+UNRUN = {"treecount.verify", "treecount.oracles", "json"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,  # the import alone
+        ["count", "odd-complete", "--n", "8"],
+        ["table", "--family", "complete", "--from", "1", "--to", "3"],
+        ["signsum", "--coeffs", "1,2", "--power", "2"],
+        ["oracle", "complete", "--n", "6", "--odd"],
+        ["oracle", "matrix-tree", "--cycle", "5"],
+    ],
+    ids=lambda argv: "import" if argv is None else " ".join(argv),
+)
+def test_a_query_loads_only_what_it_runs(argv):
+    run = "" if argv is None else f"; assert main({argv!r}) == 0"
+    added = loaded_by(f"from treecount.cli import main{run}")
+    assert "treecount.families" in added
+    if argv and argv[0] == "oracle":
+        assert "treecount.oracles" in added
+        assert "treecount.verify" not in added
+    else:
+        assert added.isdisjoint(UNRUN), sorted(added & UNRUN)

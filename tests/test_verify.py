@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treecount import verify
+from treecount import formulas, verify
 from treecount.cli import main
 
 
@@ -77,7 +77,7 @@ class TestRunVerification:
             verify.run_verification(scopes=("bipartite",), bipartite_max=12)
 
     def test_mismatch_is_reported_not_raised(self, monkeypatch):
-        monkeypatch.setattr(verify, "odd_spanning_trees_complete", lambda n: 12345)
+        monkeypatch.setattr(formulas, "odd_spanning_trees_complete", lambda n: 12345)
         report = verify.run_verification(scopes=("complete",), complete_max=3)
         assert not report.all_match
         assert report.summary["failed"] > 0
@@ -105,7 +105,7 @@ class TestRunVerification:
         def broken(m, n):
             raise RuntimeError("broken formula")
 
-        monkeypatch.setattr(verify, "odd_spanning_trees_bipartite", broken)
+        monkeypatch.setattr(formulas, "odd_spanning_trees_bipartite", broken)
         report = verify.run_verification(**kwargs)
         keys = lambda r: [(c.family, c.parameters, c.oracle_kind) for c in r.cases]
         assert keys(report) == keys(clean)
@@ -231,7 +231,7 @@ class TestRendering:
         def broken(n):
             raise RuntimeError("broken formula")
 
-        monkeypatch.setattr(verify, "odd_spanning_trees_complete", broken)
+        monkeypatch.setattr(formulas, "odd_spanning_trees_complete", broken)
         report = verify.run_verification(scopes=("complete",), complete_max=2)
         records = [json.loads(line) for line in verify.render_jsonl(report).splitlines()]
         failed = [r for r in records if "error" in r]
@@ -247,7 +247,7 @@ class TestRendering:
         )
 
     def test_failed_case_renders_fail_marker(self, monkeypatch):
-        monkeypatch.setattr(verify, "spanning_trees_complete", lambda n: -1)
+        monkeypatch.setattr(formulas, "spanning_trees_complete", lambda n: -1)
         report = verify.run_verification(scopes=("complete",), complete_max=2)
         text = verify.render_text(report)
         assert "[FAIL]" in text
